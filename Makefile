@@ -25,7 +25,7 @@ SWEEP_VARIANT_PCT ?= 95
 # deliberately, in its own commit.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet lint lint-tools bench bench-smoke bench-gate bench-all benchstat baseline profile sweep chaos-smoke fuzz-smoke shard-smoke trace-smoke
+.PHONY: build test race vet lint lint-tools bench bench-smoke bench-gate bench-all benchstat baseline profile sweep chaos-smoke fuzz-smoke shard-smoke trace-smoke hbbench-check
 
 # Per-target budget for the CI fuzz smoke over the rtb codec's decoder
 # fuzz targets (go test -fuzz accepts exactly one target per run).
@@ -57,6 +57,13 @@ lint: vet
 	else \
 		echo "staticcheck not installed; run 'make lint-tools' for the pinned version" ; \
 	fi
+
+# Vet and test the nested benchmark module (hbbench/, its own go.mod
+# with a replace onto this checkout). The root 'go test ./...' does not
+# descend into it, so this is what catches a facade change that breaks
+# the benchmark's build.
+hbbench-check:
+	cd hbbench && $(GO) vet ./... && $(GO) test ./...
 
 # Install the pinned lint toolchain (needs network access once; CI
 # restores it from the module cache afterwards).

@@ -10,11 +10,11 @@ import (
 // ExampleNewExperiment shows the streaming pipeline: one configurable
 // entry point, pluggable sinks, incremental results.
 func ExampleNewExperiment() {
-	sum := headerbid.NewSummarySink()
+	sum := headerbid.NewSummaryMetric()
 	res, err := headerbid.NewExperiment(
 		headerbid.WithSites(500),
 		headerbid.WithSeed(1),
-		headerbid.WithSink(sum),
+		headerbid.WithSink(headerbid.NewMetricSink(sum)),
 	).Run(context.Background())
 	if err != nil {
 		fmt.Println("crawl failed:", err)
@@ -26,14 +26,23 @@ func ExampleNewExperiment() {
 }
 
 // ExampleGenerateWorld shows the minimal generate→crawl→summarize flow
-// (the legacy batch facade, kept as a wrapper over the Experiment).
+// over an explicitly generated world.
 func ExampleGenerateWorld() {
 	cfg := headerbid.DefaultWorldConfig(1)
 	cfg.NumSites = 500
 	world := headerbid.GenerateWorld(cfg)
-	recs := headerbid.Crawl(world, headerbid.DefaultCrawlConfig(1))
-	sum := headerbid.Summarize(recs)
-	fmt.Println(sum.SitesCrawled, "sites crawled,", sum.DemandPartners > 0, "partners seen")
+	sum := headerbid.NewSummaryMetric()
+	_, err := headerbid.NewExperiment(
+		headerbid.WithWorld(world),
+		headerbid.WithCrawlConfig(headerbid.DefaultCrawlConfig(1)),
+		headerbid.WithMetrics(sum),
+	).Run(context.Background())
+	if err != nil {
+		fmt.Println("crawl failed:", err)
+		return
+	}
+	s := sum.Summary()
+	fmt.Println(s.SitesCrawled, "sites crawled,", s.DemandPartners > 0, "partners seen")
 	// Output: 500 sites crawled, true partners seen
 }
 

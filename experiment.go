@@ -7,7 +7,6 @@ import (
 
 	"headerbid/internal/analysis"
 	"headerbid/internal/crawler"
-	"headerbid/internal/dataset"
 	"headerbid/internal/sitegen"
 )
 
@@ -234,16 +233,8 @@ type Results struct {
 // CrawlStats counts crawl health: visits, loads, timeouts, HB sites.
 type CrawlStats = crawler.Stats
 
-// statsMetric folds crawl-health counters as a sharded metric.
-type statsMetric struct {
-	s CrawlStats
-}
-
-func (m *statsMetric) Name() string                { return "crawl_stats" }
-func (m *statsMetric) Add(r *dataset.SiteRecord)   { m.s.Add(r) }
-func (m *statsMetric) NewShard() analysis.Metric   { return &statsMetric{} }
-func (m *statsMetric) Merge(other analysis.Metric) { m.s.Merge(other.(*statsMetric).s) }
-func (m *statsMetric) Snapshot() any               { return m.s }
+// LatencyStats is the Figure-12 latency CDF with the paper's markers.
+type LatencyStats = analysis.LatencyCDFResult
 
 // World resolves the world this experiment crawls (generating it if
 // needed); repeated calls return the same world.
@@ -329,32 +320,12 @@ func (e *Experiment) Run(ctx context.Context) (Results, error) {
 			return prev == nil || prev(s)
 		}
 	}
-	// Pin the worker count so the shard array and the crawler agree on
-	// the fold-shard space (the crawler owns the defaulting rule).
-	opts.Workers = opts.ResolvedWorkers()
-
 	// Built-in metrics (every run computes Results from them) ride the
 	// same sharded fold path as the user-attached ones.
 	sum := analysis.NewSummary()
 	lat := analysis.NewLatencyAccumulator()
-	st := &statsMetric{}
-	all := []Metric{sum, lat, st}
-	for _, m := range e.metrics {
-		all = append(all, m)
-	}
-
-	shards := make([][]Metric, opts.Workers)
-	for i := range shards {
-		shards[i] = make([]Metric, len(all))
-		for j, m := range all {
-			shards[i][j] = m.NewShard()
-		}
-	}
-	fold := func(shard int, r *dataset.SiteRecord) {
-		for _, m := range shards[shard] {
-			m.Add(r)
-		}
-	}
+	st := &CrawlStats{}
+	all := append([]Metric{sum, lat, st}, e.metrics...)
 
 	runErr := crawler.CrawlStreamSharded(ctx, w, opts, func(v Visit) error {
 		for i, s := range e.sinks {
@@ -363,16 +334,7 @@ func (e *Experiment) Run(ctx context.Context) (Results, error) {
 			}
 		}
 		return nil
-	}, fold)
-
-	// Merge worker shards back into the prototypes in worker order; the
-	// Metric contract makes the outcome independent of which worker saw
-	// which visit.
-	for i := range shards {
-		for j, m := range all {
-			m.Merge(shards[i][j])
-		}
-	}
+	}, all)
 
 	var closeErr error
 	for i, s := range e.sinks {
@@ -383,7 +345,7 @@ func (e *Experiment) Run(ctx context.Context) (Results, error) {
 
 	res := Results{
 		Summary: sum.Summary(),
-		Stats:   st.s,
+		Stats:   *st,
 		Latency: lat.Result(),
 		Metrics: Metrics{ms: e.metrics},
 		Elapsed: time.Since(start), //hbvet:allow detwall wall-clock elapsed reported to operators, never part of dataset bytes

@@ -11,49 +11,46 @@ import (
 	"headerbid/internal/analysis"
 )
 
-// TestStreamingSummaryMatchesBatch is the redesign's core equivalence
-// claim: a crawl driven through a SummarySink and a LatencySink computes
-// byte-identical Summary and latency stats to the batch
-// Summarize(Crawl(...)) / analysis.LatencyCDF path on a seeded 1k-site
-// world — without the experiment retaining a single record.
+// TestStreamingSummaryMatchesBatch is the pipeline's core equivalence
+// claim: a crawl driven through ordered summary and latency metric
+// sinks, and the Results every run computes on its worker shards, match
+// the same metrics folded over the collected record slice of a seeded
+// 1k-site world — without the experiment retaining a single record.
 func TestStreamingSummaryMatchesBatch(t *testing.T) {
 	const seed, sites = 1, 1000
 	cfg := DefaultWorldConfig(seed)
 	cfg.NumSites = sites
 	w := GenerateWorld(cfg)
 
-	// Batch path (the deprecated facade).
-	recs := Crawl(w, DefaultCrawlConfig(seed))
-	batchSum := Summarize(recs)
-	batchLat := analysis.LatencyCDF(recs)
+	// Batch path: collect every record, then fold and serialize.
+	recs := crawlRecords(t, w, DefaultCrawlConfig(seed))
+	batchSum := analysis.Fold(NewSummaryMetric(), recs).Summary()
+	batchLat := analysis.Fold(NewLatencyAccumulator(), recs).Result()
 	var batchJSONL bytes.Buffer
-	if err := WriteDataset(&batchJSONL, recs); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONL(t, &batchJSONL, recs)
 
 	// Streaming path: summary + latency + JSONL sinks, no retention.
-	sumSink := NewSummarySink()
-	latSink := NewLatencySink()
+	sum, lat := NewSummaryMetric(), NewLatencyAccumulator()
 	var streamJSONL bytes.Buffer
 	res, err := NewExperiment(
 		WithWorld(w),
 		WithSeed(seed),
-		WithSink(sumSink, latSink, NewJSONLSink(&streamJSONL)),
+		WithSink(NewMetricSink(sum), NewMetricSink(lat), NewJSONLSink(&streamJSONL)),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if got := sumSink.Summary(); got != batchSum {
+	if got := sum.Summary(); got != batchSum {
 		t.Fatalf("summary sink diverged:\n got %+v\nwant %+v", got, batchSum)
 	}
-	if got := sumSink.Summary().AdoptionRate(); got != batchSum.AdoptionRate() {
+	if got := sum.Summary().AdoptionRate(); got != batchSum.AdoptionRate() {
 		t.Fatalf("adoption rate diverged: %v vs %v", got, batchSum.AdoptionRate())
 	}
 	if res.Summary != batchSum {
 		t.Fatalf("Results.Summary diverged:\n got %+v\nwant %+v", res.Summary, batchSum)
 	}
-	if got := latSink.Result(); !reflect.DeepEqual(got, batchLat) {
+	if got := lat.Result(); !reflect.DeepEqual(got, batchLat) {
 		t.Fatalf("latency sink diverged:\n got %+v\nwant %+v", got, batchLat)
 	}
 	if !reflect.DeepEqual(res.Latency, batchLat) {
@@ -206,27 +203,5 @@ func TestWithSeedOverridesWorldConfig(t *testing.T) {
 	seed1 := GenerateWorld(cfg)
 	if len(asIs.HBSites()) != len(seed1.HBSites()) {
 		t.Fatalf("explicit config seed not respected")
-	}
-}
-
-// TestDeprecatedWrappersStillWork: the legacy batch facade must keep its
-// exact behavior now that it rides on the Experiment.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	cfg := DefaultWorldConfig(4)
-	cfg.NumSites = 120
-	w := GenerateWorld(cfg)
-	recs := Crawl(w, DefaultCrawlConfig(4))
-	if len(recs) != 120 {
-		t.Fatalf("Crawl returned %d records", len(recs))
-	}
-	var last, total int
-	recs2 := CrawlWithProgress(w, DefaultCrawlConfig(4), func(d, tot int) { last, total = d, tot })
-	if last != 120 || total != 120 {
-		t.Fatalf("progress ended at %d/%d", last, total)
-	}
-	for i := range recs {
-		if recs[i].Domain != recs2[i].Domain || recs[i].TotalHBLatencyMS != recs2[i].TotalHBLatencyMS {
-			t.Fatalf("wrapper crawls diverged at %d", i)
-		}
 	}
 }

@@ -2,21 +2,49 @@ package headerbid
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"testing"
 
+	"headerbid/internal/analysis"
 	"headerbid/internal/hb"
 )
 
 // The facade tests exercise the whole public workflow a downstream user
 // follows: generate, crawl, summarize, persist, report, compare.
 
+// crawlRecords runs one Experiment over w and collects every record —
+// the in-memory dataset tests and benchmarks compare against.
+func crawlRecords(tb testing.TB, w *World, cfg CrawlConfig, opts ...ExperimentOption) []*SiteRecord {
+	tb.Helper()
+	c := NewCollectSink()
+	opts = append([]ExperimentOption{WithWorld(w), WithCrawlConfig(cfg), WithSink(c)}, opts...)
+	if _, err := NewExperiment(opts...).Run(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	return c.Records()
+}
+
+// writeJSONL streams recs through a JSONL sink into w.
+func writeJSONL(tb testing.TB, w io.Writer, recs []*SiteRecord) {
+	tb.Helper()
+	sink := NewJSONLSink(w)
+	for _, r := range recs {
+		if err := sink.Consume(Visit{Record: r}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func smallCrawl(t *testing.T, sites int, seed int64) (*World, []*SiteRecord) {
 	t.Helper()
 	cfg := DefaultWorldConfig(seed)
 	cfg.NumSites = sites
 	w := GenerateWorld(cfg)
-	recs := Crawl(w, DefaultCrawlConfig(seed))
-	return w, recs
+	return w, crawlRecords(t, w, DefaultCrawlConfig(seed))
 }
 
 func TestPublicWorkflow(t *testing.T) {
@@ -24,7 +52,7 @@ func TestPublicWorkflow(t *testing.T) {
 	if len(recs) != 300 {
 		t.Fatalf("records = %d", len(recs))
 	}
-	sum := Summarize(recs)
+	sum := analysis.Fold(NewSummaryMetric(), recs).Summary()
 	if sum.SitesCrawled != 300 || sum.SitesWithHB == 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -32,19 +60,22 @@ func TestPublicWorkflow(t *testing.T) {
 		t.Fatalf("adoption = %v", sum.AdoptionRate())
 	}
 
-	// Round-trip the dataset through the public serializers.
+	// Round-trip the dataset through the public serializers, folding
+	// the full report as it streams back in.
 	var buf bytes.Buffer
-	if err := WriteDataset(&buf, recs); err != nil {
-		t.Fatal(err)
+	writeJSONL(t, &buf, recs)
+	fr := NewFigureReport()
+	n := 0
+	err := ReadDatasetStream(&buf, func(r *SiteRecord) error {
+		n++
+		fr.Add(r)
+		return nil
+	})
+	if err != nil || n != len(recs) {
+		t.Fatalf("round trip: n=%d err=%v", n, err)
 	}
-	back, err := ReadDataset(&buf)
-	if err != nil || len(back) != len(recs) {
-		t.Fatalf("round trip: n=%d err=%v", len(back), err)
-	}
-
-	// The full report renders from the public entry point.
 	var report bytes.Buffer
-	Report(&report, back)
+	fr.Render(&report)
 	if report.Len() == 0 {
 		t.Fatal("empty report")
 	}
@@ -109,9 +140,9 @@ func TestCrawlWithProgressReportsCompletion(t *testing.T) {
 	cfg.NumSites = 80
 	w := GenerateWorld(cfg)
 	var last, total int
-	CrawlWithProgress(w, DefaultCrawlConfig(9), func(done, tot int) {
+	crawlRecords(t, w, DefaultCrawlConfig(9), WithProgress(func(done, tot int) {
 		last, total = done, tot
-	})
+	}))
 	if last != 80 || total != 80 {
 		t.Fatalf("progress ended at %d/%d", last, total)
 	}

@@ -1,8 +1,9 @@
-package analysis
+package analysis_test
 
 import (
 	"testing"
 
+	"headerbid/internal/analysis"
 	"headerbid/internal/crawler"
 	"headerbid/internal/sitegen"
 	"headerbid/internal/staticdet"
@@ -11,7 +12,7 @@ import (
 
 func TestAdoptionOverYearsShape(t *testing.T) {
 	a := wayback.NewArchive(1, 600)
-	years := AdoptionOverYears(a, staticdet.New())
+	years := analysis.AdoptionOverYears(a, staticdet.New())
 	if len(years) != len(wayback.Years) {
 		t.Fatalf("years = %d", len(years))
 	}
@@ -39,7 +40,7 @@ func TestAdoptionOverYearsShape(t *testing.T) {
 
 func TestAdoptionOverYearsNilDetectorDefaults(t *testing.T) {
 	a := wayback.NewArchive(2, 100)
-	years := AdoptionOverYears(a, nil)
+	years := analysis.AdoptionOverYears(a, nil)
 	if len(years) == 0 {
 		t.Fatal("nil detector not defaulted")
 	}
@@ -50,7 +51,7 @@ func TestCompareWithWaterfall(t *testing.T) {
 	cfg.NumSites = 1200
 	w := sitegen.Generate(cfg)
 	recs := crawler.CrawlWorld(w, crawler.DefaultOptions(5))
-	cmp := CompareWithWaterfall(w, recs, 5)
+	cmp := analysis.CompareWithWaterfall(w, recs, 5)
 
 	if cmp.Sites < 100 {
 		t.Fatalf("too few compared sites: %d", cmp.Sites)
@@ -74,7 +75,7 @@ func TestCompareWithWaterfall(t *testing.T) {
 		t.Fatalf("negative revenue loss: %v", cmp.RevenueLossMean)
 	}
 	// Determinism.
-	cmp2 := CompareWithWaterfall(w, recs, 5)
+	cmp2 := analysis.CompareWithWaterfall(w, recs, 5)
 	if cmp.MedianRatio != cmp2.MedianRatio {
 		t.Fatal("comparison not deterministic")
 	}

@@ -1,28 +1,37 @@
-package analysis
+package analysis_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"headerbid/internal/analysis"
 	"headerbid/internal/crawler"
 	"headerbid/internal/dataset"
 	"headerbid/internal/sitegen"
 )
 
-// TestLatencyAccumulatorMatchesBatch feeds a real crawl record-by-record
-// and requires the streaming result to be deep-equal to the batch CDF —
-// markers, sample count and the full ECDF.
+// TestLatencyAccumulatorMatchesBatch folds a real crawl on the
+// crawler's worker shards and requires the result to be deep-equal to
+// the fold over the collected record slice — markers, sample count and
+// the full ECDF.
 func TestLatencyAccumulatorMatchesBatch(t *testing.T) {
 	cfg := sitegen.DefaultConfig(17)
 	cfg.NumSites = 400
 	w := sitegen.Generate(cfg)
-	recs := crawler.CrawlWorld(w, crawler.DefaultOptions(17))
+	opts := crawler.DefaultOptions(17)
+	opts.Workers = 3
 
-	acc := NewLatencyAccumulator()
-	for _, r := range recs {
-		acc.Add(r)
+	acc := analysis.NewLatencyAccumulator()
+	var recs []*dataset.SiteRecord
+	err := crawler.CrawlStreamSharded(context.Background(), w, opts, func(v crawler.Visit) error {
+		recs = append(recs, v.Record)
+		return nil
+	}, []analysis.Metric{acc})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, want := acc.Result(), LatencyCDF(recs)
+	got, want := acc.Result(), analysis.Fold(analysis.NewLatencyAccumulator(), recs).Result()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streaming CDF diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -37,7 +46,7 @@ func TestLatencyAccumulatorMatchesBatch(t *testing.T) {
 // TestLatencyAccumulatorFilters: non-HB and zero-latency records must not
 // contribute samples.
 func TestLatencyAccumulatorFilters(t *testing.T) {
-	acc := NewLatencyAccumulator()
+	acc := analysis.NewLatencyAccumulator()
 	acc.Add(&dataset.SiteRecord{Domain: "a", HB: false, TotalHBLatencyMS: 500})
 	acc.Add(&dataset.SiteRecord{Domain: "b", HB: true, TotalHBLatencyMS: 0})
 	if acc.Samples() != 0 {

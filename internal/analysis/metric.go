@@ -7,9 +7,8 @@ import (
 )
 
 // A Metric is a streaming, mergeable accumulator over site records — the
-// unit of the metrics API that replaced the batch analysis layer. Every
-// figure-level analysis in this package is a Metric; the batch functions
-// remain as thin fold-then-result wrappers over them.
+// unit of the metrics API. Every figure-level analysis in this package is
+// a Metric; Fold runs one over an in-memory record slice.
 //
 // The contract every Metric must satisfy (and the metric-law tests
 // enforce for each implementation):
@@ -62,9 +61,9 @@ func mergeArg[T Metric](self Metric, other Metric) T {
 	return t
 }
 
-// foldAll folds every record into m and returns m — the batch
-// convenience every legacy analysis function is now a wrapper over.
-func foldAll[M Metric](m M, recs []*dataset.SiteRecord) M {
+// Fold folds every record into m and returns m, so a figure over a
+// record slice reads Fold(NewX(...), recs).Result().
+func Fold[M Metric](m M, recs []*dataset.SiteRecord) M {
 	for _, r := range recs {
 		m.Add(r)
 	}

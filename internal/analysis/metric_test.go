@@ -1,195 +1,81 @@
-package analysis
+package analysis_test
 
 import (
-	"fmt"
-	"math/rand"
+	"bytes"
 	"reflect"
 	"testing"
 
+	"headerbid/internal/analysis"
+	"headerbid/internal/analysis/metrictest"
 	"headerbid/internal/dataset"
 	"headerbid/internal/partners"
 )
 
-// synthRecords builds a crawl-shaped randomized dataset: day 0 visits
-// every site in rank order, day 1 revisits (most of) the HB sites — the
-// same (day, rank) stream order a real crawl emits — with enough variety
-// to exercise every metric's filters (empty partner lists, zero slots,
-// missing latencies, zero CPMs, unparseable sizes, s2s and late bids,
-// unknown facets, multi-day dedupe).
-func synthRecords(t *testing.T, seed int64) []*dataset.SiteRecord {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	var slugs []string
-	for _, p := range partners.Default().All() {
-		slugs = append(slugs, p.Slug)
-	}
-	sizes := []string{"300x250", "728x90", "120x600", "970x250", ""}
-	facets := []string{"server", "hybrid", "client", "server", "hybrid", ""}
-
-	makeRec := func(domain string, rank, day int, hb bool) *dataset.SiteRecord {
-		rec := &dataset.SiteRecord{Domain: domain, Rank: rank, VisitDay: day, HB: hb, Loaded: true}
-		if !hb {
-			return rec
-		}
-		rec.Facet = facets[rng.Intn(len(facets))]
-		seen := map[string]bool{}
-		for j := rng.Intn(8); j > 0; j-- {
-			s := slugs[rng.Intn(len(slugs))]
-			if !seen[s] {
-				seen[s] = true
-				rec.Partners = append(rec.Partners, s)
-			}
-		}
-		if rng.Float64() < 0.75 {
-			rec.TotalHBLatencyMS = 100 + 3000*rng.Float64()
-		}
-		rec.AdSlotsAuctioned = rng.Intn(25)
-		for a := rng.Intn(4); a > 0; a-- {
-			au := dataset.AuctionRecord{
-				ID: fmt.Sprintf("a%d", a), AdUnit: "u",
-				Size: sizes[rng.Intn(len(sizes))],
-			}
-			for b := rng.Intn(4); b > 0; b-- {
-				bid := dataset.BidRecord{
-					Bidder:    slugs[rng.Intn(len(slugs))],
-					CPM:       rng.Float64() * 1.2,
-					Size:      sizes[rng.Intn(len(sizes))],
-					LatencyMS: 50 + 500*rng.Float64(),
-				}
-				if rng.Float64() < 0.1 {
-					bid.CPM = 0
-				}
-				if rng.Float64() < 0.25 {
-					bid.Late = true
-				}
-				if rng.Float64() < 0.2 {
-					bid.Source = "s2s"
-				}
-				au.Bids = append(au.Bids, bid)
-			}
-			rec.Auctions = append(rec.Auctions, au)
-		}
-		if len(rec.Partners) > 0 {
-			rec.PartnerLatencyMS = map[string][]float64{}
-			for _, s := range rec.Partners {
-				var ls []float64
-				for k := 1 + rng.Intn(3); k > 0; k-- {
-					ls = append(ls, 50+800*rng.Float64())
-				}
-				rec.PartnerLatencyMS[s] = ls
-			}
-			rec.Winners = rec.Partners[:1]
-		}
-		rec.Traffic = dataset.TrafficRecord{
-			BidRequests: rng.Intn(20), HostedCalls: rng.Intn(3),
-			AdServer: 1 + rng.Intn(3), Creatives: rng.Intn(5),
-			Beacons: rng.Intn(4), Scripts: rng.Intn(6), Other: rng.Intn(5),
-		}
-		if rng.Float64() < 0.3 {
-			rec.PartnerErrors = map[string]int{}
-			for j := 1 + rng.Intn(3); j > 0; j-- {
-				rec.PartnerErrors[slugs[rng.Intn(len(slugs))]] += 1 + rng.Intn(3)
-			}
-			rec.Retries = rng.Intn(4)
-			rec.Abandoned = rng.Intn(3)
-		}
-		if rng.Float64() < 0.03 {
-			rec.Quarantined = true
-		}
-		return rec
-	}
-
-	var recs, hbDay0 []*dataset.SiteRecord
-	for i := 0; i < 400; i++ {
-		rec := makeRec(fmt.Sprintf("site%04d.example", i), 1+rng.Intn(20000), 0, rng.Float64() < 0.45)
-		recs = append(recs, rec)
-		if rec.HB {
-			hbDay0 = append(hbDay0, rec)
-		}
-	}
-	for _, r0 := range hbDay0 {
-		if rng.Float64() < 0.8 {
-			// Day-1 revisits occasionally lose the HB detection, so the
-			// min-day dedupe has non-trivial work to do.
-			recs = append(recs, makeRec(r0.Domain, r0.Rank, 1, rng.Float64() < 0.9))
-		}
-	}
-	return recs
-}
-
-// metricCase pairs a metric constructor with its batch ancestor.
+// metricCase names one configured instance of every analysis metric.
 type metricCase struct {
 	name   string
-	metric func() Metric
-	batch  func(recs []*dataset.SiteRecord) any
+	metric func() analysis.Metric
 }
 
 func metricCases() []metricCase {
 	reg := partners.Default()
 	return []metricCase{
-		{"summary", func() Metric { return NewSummary() },
-			func(rs []*dataset.SiteRecord) any { return dataset.Summarize(rs) }},
-		{"adoption_by_rank_band", func() Metric { return NewAdoptionByRankBand() },
-			func(rs []*dataset.SiteRecord) any { return AdoptionByRankBand(rs) }},
-		{"facet_breakdown", func() Metric { return NewFacetBreakdown() },
-			func(rs []*dataset.SiteRecord) any { return FacetBreakdown(rs) }},
-		{"top_partners", func() Metric { return NewTopPartners(7) },
-			func(rs []*dataset.SiteRecord) any { return TopPartners(rs, 7) }},
-		{"unique_partners", func() Metric { return NewUniquePartners() },
-			func(rs []*dataset.SiteRecord) any { return UniquePartners(rs) }},
-		{"partners_per_site", func() Metric { return NewPartnersPerSite() },
-			func(rs []*dataset.SiteRecord) any { return PartnersPerSite(rs) }},
-		{"partner_combos", func() Metric { return NewPartnerCombos(10) },
-			func(rs []*dataset.SiteRecord) any { return PartnerCombos(rs, 10) }},
-		{"partners_per_facet", func() Metric { return NewPartnersPerFacet(6) },
-			func(rs []*dataset.SiteRecord) any { return PartnersPerFacet(rs, 6) }},
-		{"latency_cdf", func() Metric { return NewLatencyAccumulator() },
-			func(rs []*dataset.SiteRecord) any { return LatencyCDF(rs) }},
-		{"latency_vs_rank", func() Metric { return NewLatencyVsRank(500) },
-			func(rs []*dataset.SiteRecord) any { return LatencyVsRank(rs, 500) }},
-		{"partner_latencies", func() Metric { return NewPartnerLatencies() },
-			func(rs []*dataset.SiteRecord) any { return PartnerLatencies(rs) }},
-		{"latency_vs_partner_count", func() Metric { return NewLatencyVsPartnerCount(8) },
-			func(rs []*dataset.SiteRecord) any { return LatencyVsPartnerCount(rs, 8) }},
-		{"latency_vs_popularity", func() Metric { return NewLatencyVsPopularity(reg, 10) },
-			func(rs []*dataset.SiteRecord) any { return LatencyVsPopularity(rs, reg, 10) }},
-		{"late_bids", func() Metric { return NewLateBids() },
-			func(rs []*dataset.SiteRecord) any { return LateBids(rs) }},
-		{"late_bids_per_partner", func() Metric { return NewLateBidsPerPartner(10, 2) },
-			func(rs []*dataset.SiteRecord) any { return LateBidsPerPartner(rs, 10, 2) }},
-		{"slots_per_site", func() Metric { return NewSlotsPerSite() },
-			func(rs []*dataset.SiteRecord) any { return SlotsPerSite(rs) }},
-		{"latency_vs_slots", func() Metric { return NewLatencyVsSlots(8) },
-			func(rs []*dataset.SiteRecord) any { return LatencyVsSlots(rs, 8) }},
-		{"slot_sizes", func() Metric { return NewSlotSizes(6) },
-			func(rs []*dataset.SiteRecord) any { return SlotSizes(rs, 6) }},
-		{"price_cdf", func() Metric { return NewPriceCDF() },
-			func(rs []*dataset.SiteRecord) any { return PriceCDF(rs) }},
-		{"price_per_size", func() Metric { return NewPricePerSize(3) },
-			func(rs []*dataset.SiteRecord) any { return PricePerSize(rs, 3) }},
-		{"price_vs_popularity", func() Metric { return NewPriceVsPopularity(reg, 10) },
-			func(rs []*dataset.SiteRecord) any { return PriceVsPopularity(rs, reg, 10) }},
-		{"traffic", func() Metric { return NewTraffic(1.5) },
-			func(rs []*dataset.SiteRecord) any { return Traffic(rs, 1.5) }},
-		{"degradation", func() Metric { return NewDegradation() },
-			func(rs []*dataset.SiteRecord) any { return Degradation(rs) }},
+		{"summary", func() analysis.Metric { return analysis.NewSummary() }},
+		{"adoption_by_rank_band", func() analysis.Metric { return analysis.NewAdoptionByRankBand() }},
+		{"facet_breakdown", func() analysis.Metric { return analysis.NewFacetBreakdown() }},
+		{"top_partners", func() analysis.Metric { return analysis.NewTopPartners(7) }},
+		{"unique_partners", func() analysis.Metric { return analysis.NewUniquePartners() }},
+		{"partners_per_site", func() analysis.Metric { return analysis.NewPartnersPerSite() }},
+		{"partner_combos", func() analysis.Metric { return analysis.NewPartnerCombos(10) }},
+		{"partners_per_facet", func() analysis.Metric { return analysis.NewPartnersPerFacet(6) }},
+		{"latency_cdf", func() analysis.Metric { return analysis.NewLatencyAccumulator() }},
+		{"latency_vs_rank", func() analysis.Metric { return analysis.NewLatencyVsRank(500) }},
+		{"partner_latencies", func() analysis.Metric { return analysis.NewPartnerLatencies() }},
+		{"latency_vs_partner_count", func() analysis.Metric { return analysis.NewLatencyVsPartnerCount(8) }},
+		{"latency_vs_popularity", func() analysis.Metric { return analysis.NewLatencyVsPopularity(reg, 10) }},
+		{"late_bids", func() analysis.Metric { return analysis.NewLateBids() }},
+		{"late_bids_per_partner", func() analysis.Metric { return analysis.NewLateBidsPerPartner(10, 2) }},
+		{"slots_per_site", func() analysis.Metric { return analysis.NewSlotsPerSite() }},
+		{"latency_vs_slots", func() analysis.Metric { return analysis.NewLatencyVsSlots(8) }},
+		{"slot_sizes", func() analysis.Metric { return analysis.NewSlotSizes(6) }},
+		{"price_cdf", func() analysis.Metric { return analysis.NewPriceCDF() }},
+		{"price_per_size", func() analysis.Metric { return analysis.NewPricePerSize(3) }},
+		{"price_vs_popularity", func() analysis.Metric { return analysis.NewPriceVsPopularity(reg, 10) }},
+		{"traffic", func() analysis.Metric { return analysis.NewTraffic(1.5) }},
+		{"degradation", func() analysis.Metric { return analysis.NewDegradation() }},
 	}
 }
 
-// TestMetricStreamingMatchesBatch: folding the stream in order must
-// reproduce the batch ancestor's result exactly, for every metric.
+// TestMetricStreamingMatchesBatch: every metric must carry its case
+// name, and folding a dataset streamed back from JSONL (the hbreport
+// ingest path) must reproduce the fold over the in-memory records it
+// was written from — the codec must keep every field a metric reads.
 func TestMetricStreamingMatchesBatch(t *testing.T) {
-	recs := synthRecords(t, 1)
+	recs := metrictest.Records(1)
+	var buf bytes.Buffer
+	w := dataset.NewWriter(&buf)
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range metricCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.metric()
 			if m.Name() != tc.name {
 				t.Errorf("Name() = %q, want %q", m.Name(), tc.name)
 			}
-			for _, r := range recs {
+			err := dataset.ReadStream(bytes.NewReader(buf.Bytes()), func(r *dataset.SiteRecord) error {
 				m.Add(r)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got, want := m.Snapshot(), tc.batch(recs); !reflect.DeepEqual(got, want) {
+			if got, want := m.Snapshot(), analysis.Fold(tc.metric(), recs).Snapshot(); !reflect.DeepEqual(got, want) {
 				t.Errorf("streamed result diverged from batch:\ngot  %#v\nwant %#v", got, want)
 			}
 		})
@@ -203,61 +89,7 @@ func TestMetricStreamingMatchesBatch(t *testing.T) {
 func TestMetricMergeLaws(t *testing.T) {
 	for _, tc := range metricCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, seed := range []int64{1, 2} {
-				recs := synthRecords(t, seed)
-				want := tc.batch(recs)
-
-				for _, nshards := range []int{2, 3, 7} {
-					rng := rand.New(rand.NewSource(seed*100 + int64(nshards)))
-
-					// Random shard assignment, preserving stream order
-					// within a shard (what a worker pool produces).
-					proto := tc.metric()
-					shards := make([]Metric, nshards)
-					for i := range shards {
-						shards[i] = proto.NewShard()
-					}
-					for _, r := range recs {
-						shards[rng.Intn(nshards)].Add(r)
-					}
-
-					// Commutativity: merge the shards into an empty root
-					// in a random order.
-					root := tc.metric()
-					for _, i := range rng.Perm(nshards) {
-						root.Merge(shards[i])
-					}
-					if got := root.Snapshot(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d, %d shards: permuted merge diverged from batch", seed, nshards)
-					}
-
-					// Associativity: rebuild the shards, pair them up
-					// tree-wise, then merge the root last.
-					shards = shards[:0]
-					for i := 0; i < nshards; i++ {
-						shards = append(shards, proto.NewShard())
-					}
-					rng2 := rand.New(rand.NewSource(seed*100 + int64(nshards)))
-					for _, r := range recs {
-						shards[rng2.Intn(nshards)].Add(r)
-					}
-					for len(shards) > 1 {
-						var next []Metric
-						for i := 0; i < len(shards); i += 2 {
-							if i+1 < len(shards) {
-								shards[i].Merge(shards[i+1])
-							}
-							next = append(next, shards[i])
-						}
-						shards = next
-					}
-					root = tc.metric()
-					root.Merge(shards[0])
-					if got := root.Snapshot(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d, %d shards: tree merge diverged from batch", seed, nshards)
-					}
-				}
-			}
+			metrictest.CheckLaws(t, tc.metric, nil)
 		})
 	}
 }
@@ -270,14 +102,14 @@ func TestMetricMergeRejectsForeignKind(t *testing.T) {
 			t.Fatal("merging a foreign metric kind did not panic")
 		}
 	}()
-	NewLateBids().Merge(NewPriceCDF())
+	analysis.NewLateBids().Merge(analysis.NewPriceCDF())
 }
 
 // TestPartnerCombosKeepsLiteralSlugs: combo membership must come from
 // the retained slug slices, never from re-splitting the joined key — a
 // slug containing the join separator must survive intact.
 func TestPartnerCombosKeepsLiteralSlugs(t *testing.T) {
-	m := NewPartnerCombos(0)
+	m := analysis.NewPartnerCombos(0)
 	m.Add(&dataset.SiteRecord{Domain: "x.example", HB: true, Partners: []string{"c", "a+b"}})
 	res := m.Result()
 	if len(res) != 1 {
@@ -289,11 +121,11 @@ func TestPartnerCombosKeepsLiteralSlugs(t *testing.T) {
 }
 
 // TestExtremesMatchesBatchOverShards pins the Figure-14 method on the
-// merged partner-latency metric to the batch LatencyExtremes.
+// merged partner-latency metric to the one over a single in-order fold.
 func TestExtremesMatchesBatchOverShards(t *testing.T) {
-	recs := synthRecords(t, 3)
+	recs := metrictest.Records(3)
 	reg := partners.Default()
-	a, b := NewPartnerLatencies(), NewPartnerLatencies()
+	a, b := analysis.NewPartnerLatencies(), analysis.NewPartnerLatencies()
 	for i, r := range recs {
 		if i%2 == 0 {
 			a.Add(r)
@@ -302,7 +134,7 @@ func TestExtremesMatchesBatchOverShards(t *testing.T) {
 		}
 	}
 	a.Merge(b)
-	if got, want := a.Extremes(reg, 10, 5), LatencyExtremes(recs, reg, 10, 5); !reflect.DeepEqual(got, want) {
+	if got, want := a.Extremes(reg, 10, 5), analysis.Fold(analysis.NewPartnerLatencies(), recs).Extremes(reg, 10, 5); !reflect.DeepEqual(got, want) {
 		t.Errorf("sharded Extremes diverged from batch")
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"headerbid/internal/analysis"
 	"headerbid/internal/browser"
 	"headerbid/internal/clock"
 	"headerbid/internal/core"
@@ -48,6 +49,7 @@ type Options struct {
 	// responses — the paper's "extra five seconds".
 	SettleTime time.Duration
 	// Workers bounds crawl parallelism (simulated mode); 0 = NumCPU.
+	// Each worker folds into its own shard of every crawl metric.
 	Workers int
 	// Days crawls each HB site this many times (the paper crawled its 5k
 	// HB sites daily for 34 days). Day 0 visits every site; subsequent
@@ -93,17 +95,6 @@ type Options struct {
 	Telemetry *obs.Registry
 }
 
-// ResolvedWorkers is the worker count a crawl actually runs with
-// (Workers, defaulting to NumCPU when unset) — and therefore the shard
-// count a FoldFunc observes. Single owner of the defaulting rule; size
-// shard state with this, never with Workers directly.
-func (o Options) ResolvedWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.NumCPU()
-}
-
 // DefaultOptions mirror the paper's crawl configuration with one
 // measurement day.
 func DefaultOptions(seed int64) Options {
@@ -136,18 +127,6 @@ type Visit struct {
 // error from CrawlStream.
 type EmitFunc func(Visit) error
 
-// FoldFunc receives each completed record on the worker goroutine that
-// produced it, before the record enters the ordered reorder window —
-// the sharded accumulation path of the metrics API. shard is the worker
-// index (0 <= shard < resolved Workers): calls with the same shard value
-// are serialized, calls with different shard values run concurrently, so
-// a caller keeping strictly shard-local state needs no locks. Records
-// arrive in per-worker completion order, not crawl order; consumers must
-// be order-insensitive (every analysis.Metric is, by contract). On
-// cancellation or emit error, in-flight visits may still be folded even
-// though they are never emitted.
-type FoldFunc func(shard int, r *dataset.SiteRecord)
-
 type crawlJob struct {
 	site *sitegen.Site
 	day  int
@@ -167,13 +146,36 @@ func CrawlStream(ctx context.Context, w *sitegen.World, opts Options, emit EmitF
 	return CrawlStreamSharded(ctx, w, opts, emit, nil)
 }
 
-// CrawlStreamSharded is CrawlStream with a per-worker fold hook: each
-// completed record is additionally handed to fold on the worker
-// goroutine that produced it, off the order-preserving emit path — the
-// crawl-side half of sharded metric accumulation (the caller merges the
-// shards at run end). fold may be nil.
-func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emit EmitFunc, fold FoldFunc) error {
-	opts.Workers = opts.ResolvedWorkers()
+// CrawlStreamSharded is CrawlStream with sharded metric accumulation —
+// the one place the metrics API folds a live crawl. Before any visit,
+// each worker gets its own shard of every metric (NewShard; worker i's
+// shards, in metric order, are created before worker i+1's). A worker
+// adds each record it produces to its shards, on its own goroutine and
+// off the order-preserving emit path, so shard state needs no locks.
+// When the crawl ends — normally, on cancellation or on emit error — the
+// shards are merged back into metrics in worker order. Records reach a
+// shard in that worker's completion order, not crawl order; the Metric
+// contract makes both invisible in the result. On early exit, in-flight
+// visits may be folded though never emitted, so metrics then hold a
+// superset of the emitted stream.
+func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emit EmitFunc, metrics []analysis.Metric) error {
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.NumCPU()
+	}
+	shards := make([][]analysis.Metric, opts.Workers)
+	for i := range shards {
+		shards[i] = make([]analysis.Metric, len(metrics))
+		for j, m := range metrics {
+			shards[i][j] = m.NewShard()
+		}
+	}
+	defer func() {
+		for _, shard := range shards {
+			for j, m := range metrics {
+				m.Merge(shard[j])
+			}
+		}
+	}()
 	if opts.Days <= 0 {
 		opts.Days = 1
 	}
@@ -198,7 +200,7 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 		}
 		return emit(v)
 	}
-	if err := streamDay(ctx, w, first, opts, track, fold); err != nil {
+	if err := streamDay(ctx, w, first, opts, track, shards); err != nil {
 		return err
 	}
 
@@ -209,7 +211,7 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 				jobs = append(jobs, crawlJob{site: s, day: day})
 			}
 		}
-		if err := streamDay(ctx, w, jobs, opts, emit, fold); err != nil {
+		if err := streamDay(ctx, w, jobs, opts, emit, shards); err != nil {
 			return err
 		}
 	}
@@ -217,8 +219,9 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 }
 
 // streamDay crawls one day's job list with a worker pool, folding each
-// record on its worker goroutine and emitting the records in job order.
-func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts Options, emit EmitFunc, fold FoldFunc) error {
+// record into its worker's metric shards and emitting the records in job
+// order. It returns only once every worker has exited.
+func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts Options, emit EmitFunc, shards [][]analysis.Metric) error {
 	// An internal cancel stops the feeder both on caller cancellation and
 	// on emit error, so workers drain promptly in either case.
 	ctx, cancel := context.WithCancel(parent)
@@ -281,8 +284,8 @@ func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts O
 				if reg != nil {
 					harvestVisit(reg.Worker(shard), rec, vrt, prev, spans != nil)
 				}
-				if fold != nil {
-					fold(shard, rec)
+				for _, m := range shards[shard] {
+					m.Add(rec)
 				}
 				select {
 				case resCh <- result{rec: rec, spans: spans, idx: idx}:
@@ -622,7 +625,8 @@ func visitSeed(seed int64, domain string, day int) int64 {
 	return h*31 + int64(day)
 }
 
-// Stats summarizes a crawl for logs.
+// Stats counts crawl health — visits, loads, timeouts, HB detections —
+// as an analysis.Metric, so every crawl can fold it on its worker shards.
 type Stats struct {
 	Visits   int
 	Loaded   int
@@ -630,16 +634,28 @@ type Stats struct {
 	HB       int
 }
 
+// Name identifies the metric.
+func (s *Stats) Name() string { return "crawl_stats" }
+
+// NewShard returns zeroed stats.
+func (s *Stats) NewShard() analysis.Metric { return &Stats{} }
+
 // Merge adds another shard's counters in.
-func (s *Stats) Merge(o Stats) {
+func (s *Stats) Merge(other analysis.Metric) {
+	o, ok := other.(*Stats)
+	if !ok {
+		panic(fmt.Sprintf("crawler: cannot merge %T into %T", other, s))
+	}
 	s.Visits += o.Visits
 	s.Loaded += o.Loaded
 	s.TimedOut += o.TimedOut
 	s.HB += o.HB
 }
 
-// Add folds one record into the stats (the streaming counterpart of
-// StatsOf).
+// Snapshot returns a copy of the counters.
+func (s *Stats) Snapshot() any { return *s }
+
+// Add folds one record into the stats.
 func (s *Stats) Add(r *dataset.SiteRecord) {
 	s.Visits++
 	if r.Loaded {
@@ -651,15 +667,6 @@ func (s *Stats) Add(r *dataset.SiteRecord) {
 	if r.HB {
 		s.HB++
 	}
-}
-
-// StatsOf computes crawl stats.
-func StatsOf(recs []*dataset.SiteRecord) Stats {
-	var st Stats
-	for _, r := range recs {
-		st.Add(r)
-	}
-	return st
 }
 
 // String renders the stats.

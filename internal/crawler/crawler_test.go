@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"headerbid/internal/dataset"
+	"headerbid/internal/analysis"
 	"headerbid/internal/hb"
 	"headerbid/internal/sitegen"
 )
@@ -24,7 +24,7 @@ func TestCrawlDetectsHB(t *testing.T) {
 	}
 
 	// Every record should have loaded.
-	st := StatsOf(recs)
+	st := analysis.Fold(&Stats{}, recs)
 	if st.Loaded != 400 {
 		t.Fatalf("loaded=%d, want 400", st.Loaded)
 	}
@@ -100,7 +100,7 @@ func TestCrawlMultiDay(t *testing.T) {
 	opts := DefaultOptions(3)
 	opts.Days = 3
 	recs := CrawlWorld(w, opts)
-	sum := dataset.Summarize(recs)
+	sum := analysis.Fold(analysis.NewSummary(), recs).Summary()
 	if sum.CrawlDays != 3 {
 		t.Fatalf("crawl days = %d, want 3", sum.CrawlDays)
 	}

@@ -2,7 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,25 @@ import (
 	"headerbid/internal/core"
 	"headerbid/internal/hb"
 )
+
+// readAll collects a JSONL stream into a slice.
+func readAll(r io.Reader) ([]*SiteRecord, error) {
+	var out []*SiteRecord
+	err := ReadStream(r, func(rec *SiteRecord) error {
+		out = append(out, rec)
+		return nil
+	})
+	return out, err
+}
+
+// summarize folds records into a fresh accumulator.
+func summarize(recs []*SiteRecord) Summary {
+	a := NewSummaryAccumulator()
+	for _, r := range recs {
+		a.Add(r)
+	}
+	return a.Summary()
+}
 
 func sampleRecords() []*SiteRecord {
 	return []*SiteRecord{
@@ -52,7 +74,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if w.Count() != 3 {
 		t.Fatalf("count = %d", w.Count())
 	}
-	back, err := Read(&buf)
+	back, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +101,12 @@ func TestFileWriterAndReader(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	back, err := readAll(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +117,17 @@ func TestFileWriterAndReader(t *testing.T) {
 
 func TestReadSkipsBlankRejectsGarbage(t *testing.T) {
 	ok := "{\"domain\":\"x.example\",\"rank\":1,\"visit_day\":0,\"hb\":false,\"loaded\":true}\n\n"
-	recs, err := Read(strings.NewReader(ok))
+	recs, err := readAll(strings.NewReader(ok))
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("recs=%d err=%v", len(recs), err)
 	}
-	if _, err := Read(strings.NewReader("not json\n")); err == nil {
+	if _, err := readAll(strings.NewReader("not json\n")); err == nil {
 		t.Fatal("garbage line accepted")
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	s := Summarize(sampleRecords())
+	s := summarize(sampleRecords())
 	if s.SitesCrawled != 2 {
 		t.Fatalf("sites = %d, want 2 (a.example deduped)", s.SitesCrawled)
 	}
@@ -124,7 +151,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
+	s := NewSummaryAccumulator().Summary()
 	if s.SitesCrawled != 0 || s.AdoptionRate() != 0 {
 		t.Fatalf("empty summary = %+v", s)
 	}
@@ -197,7 +224,7 @@ func TestLargeRecordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	back, err := Read(&buf)
+	back, err := readAll(&buf)
 	if err != nil || len(back) != 1 || len(back[0].Auctions) != 5000 {
 		t.Fatalf("large record: n=%d err=%v", len(back), err)
 	}
@@ -205,8 +232,8 @@ func TestLargeRecordRoundTrip(t *testing.T) {
 
 func TestSummaryAccumulatorMatchesBatch(t *testing.T) {
 	// A mixed multi-day dataset with repeats, shared partners and non-HB
-	// sites: the incremental path must agree field-for-field with the
-	// batch Summarize.
+	// sites: merged shards and snapshot-then-continue must agree
+	// field-for-field with one accumulator over the whole slice.
 	recs := []*SiteRecord{
 		{Domain: "a.example", VisitDay: 0, HB: true, Partners: []string{"criteo", "rubicon"},
 			Winners: []string{"criteo"}, Auctions: []AuctionRecord{{ID: "1", Bids: []BidRecord{{Bidder: "criteo"}, {Bidder: "rubicon"}}}}},
@@ -215,12 +242,18 @@ func TestSummaryAccumulatorMatchesBatch(t *testing.T) {
 			Auctions: []AuctionRecord{{ID: "2", Bids: []BidRecord{{Bidder: "appnexus"}}}}},
 		{Domain: "c.example", VisitDay: 2, HB: true, Winners: []string{"dfp"}},
 	}
-	acc := NewSummaryAccumulator()
-	for _, r := range recs {
-		acc.Add(r)
+	want := summarize(recs)
+	if want.SitesCrawled != 3 || want.SitesWithHB != 2 || want.CrawlDays != 3 {
+		t.Fatalf("summary = %+v", want)
 	}
-	if got, want := acc.Summary(), Summarize(recs); got != want {
-		t.Fatalf("accumulator = %+v, batch = %+v", got, want)
+	a, b := NewSummaryAccumulator(), NewSummaryAccumulator()
+	a.Add(recs[2])
+	a.Add(recs[1])
+	b.Add(recs[3])
+	b.Add(recs[0])
+	a.Merge(b)
+	if got := a.Summary(); got != want {
+		t.Fatalf("merged shards = %+v, batch = %+v", got, want)
 	}
 	// Partial snapshots must be valid too (Summary() is not a finalizer).
 	acc2 := NewSummaryAccumulator()
@@ -231,16 +264,15 @@ func TestSummaryAccumulatorMatchesBatch(t *testing.T) {
 	acc2.Add(recs[1])
 	acc2.Add(recs[2])
 	acc2.Add(recs[3])
-	if got, want := acc2.Summary(), Summarize(recs); got != want {
+	if got := acc2.Summary(); got != want {
 		t.Fatalf("snapshot-then-continue diverged: %+v vs %+v", got, want)
 	}
 }
 
+// TestReadStreamMatchesRead: the streaming reader hands back exactly
+// the records the Writer wrote, in order.
 func TestReadStreamMatchesRead(t *testing.T) {
-	recs := []*SiteRecord{
-		{Domain: "a.example", Loaded: true, HB: true, Facet: "client"},
-		{Domain: "b.example", Loaded: true},
-	}
+	recs := sampleRecords()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for _, r := range recs {
@@ -249,25 +281,15 @@ func TestReadStreamMatchesRead(t *testing.T) {
 		}
 	}
 	w.Close()
-	data := buf.Bytes()
 
 	var streamed []*SiteRecord
-	if err := ReadStream(bytes.NewReader(data), func(r *SiteRecord) error {
+	if err := ReadStream(&buf, func(r *SiteRecord) error {
 		streamed = append(streamed, r)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(batch) {
-		t.Fatalf("streamed %d, batch %d", len(streamed), len(batch))
-	}
-	for i := range batch {
-		if streamed[i].Domain != batch[i].Domain || streamed[i].HB != batch[i].HB {
-			t.Fatalf("record %d diverged", i)
-		}
+	if !reflect.DeepEqual(streamed, recs) {
+		t.Fatalf("streamed records diverged from the written ones:\n got %+v\nwant %+v", streamed, recs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"headerbid/internal/analysis"
+	"headerbid/internal/analysis/metrictest"
 	"headerbid/internal/dataset"
 	"headerbid/internal/partners"
 	"headerbid/internal/stats"
@@ -45,7 +46,7 @@ func render(t *testing.T, f func(*Writer)) string {
 }
 
 func TestTable1Rendering(t *testing.T) {
-	out := render(t, func(w *Writer) { w.Table1(dataset.Summarize(fixture())) })
+	out := render(t, func(w *Writer) { w.Table1(analysis.Fold(analysis.NewSummary(), fixture()).Summary()) })
 	for _, want := range []string{"websites crawled", "3", "websites with HB", "auctions detected"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table1 output missing %q:\n%s", want, out)
@@ -72,7 +73,7 @@ func TestFullReportRendersEverySection(t *testing.T) {
 }
 
 func TestFigure12Markers(t *testing.T) {
-	out := render(t, func(w *Writer) { w.Figure12(analysis.LatencyCDF(fixture())) })
+	out := render(t, func(w *Writer) { w.Figure12(analysis.Fold(analysis.NewLatencyAccumulator(), fixture()).Result()) })
 	if !strings.Contains(out, "median=") || !strings.Contains(out, ">3s=") {
 		t.Fatalf("latency markers missing:\n%s", out)
 	}
@@ -95,7 +96,7 @@ func TestComparisonRendering(t *testing.T) {
 
 func TestEmptyCDFHandled(t *testing.T) {
 	out := render(t, func(w *Writer) {
-		w.Figure9(analysis.PartnersPerSite(nil))
+		w.Figure9(analysis.Fold(analysis.NewPartnersPerSite(), nil).Result())
 	})
 	if !strings.Contains(out, "no samples") && !strings.Contains(out, "P(=1)") {
 		t.Fatalf("empty CDF crashed or vanished:\n%s", out)
@@ -121,4 +122,15 @@ func TestFigure4Rendering(t *testing.T) {
 	if !strings.Contains(out, "2014") || !strings.Contains(out, "2019") {
 		t.Fatalf("figure 4 output:\n%s", out)
 	}
+}
+
+// TestFiguresMergeLaws: the figure-report bundle obeys the Metric laws;
+// its observable result is the rendered report.
+func TestFiguresMergeLaws(t *testing.T) {
+	metrictest.CheckLaws(t, func() analysis.Metric { return NewFigures(partners.Default()) },
+		func(m analysis.Metric) any {
+			var buf bytes.Buffer
+			m.(*Figures).Render(&buf)
+			return buf.String()
+		})
 }

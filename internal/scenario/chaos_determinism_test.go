@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"context"
-	"runtime"
 	"testing"
 
 	"headerbid/internal/crawler"
@@ -52,23 +51,25 @@ func chaosSweepRun(t *testing.T, workers, conc int, variant string) (render, jso
 // TestChaosSweepByteIdenticalAcrossWorkers is the acceptance criterion
 // for deterministic chaos: the fault-axis sweep — dataset bytes of a
 // faulted variant and the rendered report alike — is identical whether
-// visits run on one worker or NumCPU, and whether variants run
-// serially or concurrently. Fault draws come from the per-visit seeded
-// stream, so scheduling cannot reorder them.
+// visits run on 1, 2, 3 or 7 workers (several shard groupings, whatever
+// the machine's CPU count), and whether variants run serially or
+// concurrently. Fault draws come from the per-visit seeded stream, so
+// scheduling cannot reorder them.
 func TestChaosSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	serialRender, serialJSONL := chaosSweepRun(t, 1, 1, "fail=20%")
-	parallelRender, parallelJSONL := chaosSweepRun(t, runtime.NumCPU(), 3, "fail=20%")
-
 	if len(serialJSONL) == 0 {
 		t.Fatal("faulted variant emitted no dataset")
 	}
-	if !bytes.Equal(serialJSONL, parallelJSONL) {
-		t.Fatalf("faulted variant JSONL differs across worker counts (%d vs %d bytes)",
-			len(serialJSONL), len(parallelJSONL))
-	}
-	if !bytes.Equal(serialRender, parallelRender) {
-		t.Fatalf("chaos comparison render differs across worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serialRender, parallelRender)
+	for _, workers := range []int{2, 3, 7} {
+		parallelRender, parallelJSONL := chaosSweepRun(t, workers, 3, "fail=20%")
+		if !bytes.Equal(serialJSONL, parallelJSONL) {
+			t.Fatalf("faulted variant JSONL differs between 1 and %d workers (%d vs %d bytes)",
+				workers, len(serialJSONL), len(parallelJSONL))
+		}
+		if !bytes.Equal(serialRender, parallelRender) {
+			t.Fatalf("chaos comparison render differs between 1 and %d workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
+				workers, serialRender, parallelRender)
+		}
 	}
 }
 

@@ -179,43 +179,39 @@ func renderRow(w io.Writer, v, base *VariantResult, name string) {
 // ---------------------------------------------------------------------------
 
 // variantAgg folds one variant's records into every headline measure of
-// a VariantResult. It is an analysis.Metric, so it rides the crawler's
-// sharded fold path and obeys the merge laws (sample slices are
-// summarized only at result time, after sorting; counters are sums;
-// per-site values dedupe on minimum visit day, a record property that
-// survives arbitrary sharding).
+// a VariantResult. Measures an analysis metric already computes come
+// from that metric; the local fields hold only what no metric computes
+// with the same semantics. It is itself an analysis.Metric, so it rides
+// the crawler's sharded fold path and obeys the merge laws: counters are
+// integer sums, and sample multisets are summarized only at result time,
+// after sorting.
 type variantAgg struct {
-	sum   *dataset.SummaryAccumulator
-	stats crawler.Stats
+	sum     *analysis.SummaryMetric
+	stats   *crawler.Stats
+	lat     *analysis.LatencyAccumulator
+	perSite *analysis.PartnersPerSiteMetric
+	degr    *analysis.DegradationMetric
+	extra   []analysis.Metric
+	parts   []analysis.Metric // every metric above, in a fixed order
 
-	bids, late int
-	latencies  []float64
-	cpms       []float64
-	winners    int
-
-	partnerSet map[string]bool
-	siteFirst  map[string]siteFirst // per-domain min-day partner count
-
-	beacons, requests int
-
-	bidPosts, bidErrors, retries, abandoned, quarantined int
-	winCPMSum                                            float64
-
-	extra []analysis.Metric
-}
-
-type siteFirst struct {
-	day      int
-	partners int
+	bids, late        int             // client-observable bids (s2s excluded)
+	cpms              []float64       // winning CPMs of auctions with a winner
+	beacons, requests int             // over every record, HB or not
+	reach             map[string]bool // partners contacted by HB sites
 }
 
 func newVariantAgg(extra []analysis.Metric) *variantAgg {
-	return &variantAgg{
-		sum:        dataset.NewSummaryAccumulator(),
-		partnerSet: make(map[string]bool),
-		siteFirst:  make(map[string]siteFirst),
-		extra:      extra,
+	a := &variantAgg{
+		sum:     analysis.NewSummary(),
+		stats:   &crawler.Stats{},
+		lat:     analysis.NewLatencyAccumulator(),
+		perSite: analysis.NewPartnersPerSite(),
+		degr:    analysis.NewDegradation(),
+		extra:   extra,
+		reach:   make(map[string]bool),
 	}
+	a.parts = append([]analysis.Metric{a.sum, a.stats, a.lat, a.perSite, a.degr}, extra...)
+	return a
 }
 
 // Name identifies the metric.
@@ -223,39 +219,20 @@ func (a *variantAgg) Name() string { return "scenario_variant" }
 
 // Add folds one record in.
 func (a *variantAgg) Add(r *dataset.SiteRecord) {
-	a.sum.Add(r)
-	a.stats.Add(r)
-	a.requests += r.Traffic.Total()
-	a.beacons += r.Traffic.Beacons
-	a.bidPosts += r.Traffic.BidRequests
-	a.retries += r.Retries
-	a.abandoned += r.Abandoned
-	if r.Quarantined {
-		a.quarantined++
-	}
-	for _, n := range r.PartnerErrors {
-		a.bidErrors += n
-	}
-	for _, m := range a.extra {
+	for _, m := range a.parts {
 		m.Add(r)
 	}
+	a.requests += r.Traffic.Total()
+	a.beacons += r.Traffic.Beacons
 	if !r.HB {
 		return
 	}
-	if r.TotalHBLatencyMS > 0 {
-		a.latencies = append(a.latencies, r.TotalHBLatencyMS)
-	}
 	for _, p := range r.Partners {
-		a.partnerSet[p] = true
-	}
-	if cur, ok := a.siteFirst[r.Domain]; !ok || r.VisitDay < cur.day {
-		a.siteFirst[r.Domain] = siteFirst{day: r.VisitDay, partners: len(r.Partners)}
+		a.reach[p] = true
 	}
 	for _, au := range r.Auctions {
 		if au.Winner != "" && au.WinnerCPM > 0 {
 			a.cpms = append(a.cpms, au.WinnerCPM)
-			a.winners++
-			a.winCPMSum += au.WinnerCPM
 		}
 		for _, b := range au.Bids {
 			if b.Source == "s2s" {
@@ -284,31 +261,16 @@ func (a *variantAgg) Merge(other analysis.Metric) {
 	if !ok {
 		panic(fmt.Sprintf("scenario: cannot merge %T into %T", other, a))
 	}
-	a.sum.Merge(o.sum)
-	a.stats.Merge(o.stats)
+	for i, m := range a.parts {
+		m.Merge(o.parts[i])
+	}
 	a.bids += o.bids
 	a.late += o.late
-	a.latencies = append(a.latencies, o.latencies...)
 	a.cpms = append(a.cpms, o.cpms...)
-	a.winners += o.winners
-	for p := range o.partnerSet {
-		a.partnerSet[p] = true
-	}
-	for dom, sf := range o.siteFirst {
-		if cur, ok := a.siteFirst[dom]; !ok || sf.day < cur.day {
-			a.siteFirst[dom] = sf
-		}
-	}
 	a.beacons += o.beacons
 	a.requests += o.requests
-	a.bidPosts += o.bidPosts
-	a.bidErrors += o.bidErrors
-	a.retries += o.retries
-	a.abandoned += o.abandoned
-	a.quarantined += o.quarantined
-	a.winCPMSum += o.winCPMSum
-	for i, m := range a.extra {
-		m.Merge(o.extra[i])
+	for p := range o.reach {
+		a.reach[p] = true
 	}
 }
 
@@ -318,42 +280,46 @@ func (a *variantAgg) Snapshot() any { return a.result("", "", overlay.Overlay{},
 
 // result finalizes the variant's headline measures.
 func (a *variantAgg) result(axis, name string, ov overlay.Overlay, elapsed time.Duration) VariantResult {
+	deg := a.degr.Result()
 	res := VariantResult{
 		Axis: axis, Name: name, Overlay: ov,
 		Summary:         a.sum.Summary(),
-		Stats:           a.stats,
+		Stats:           *a.stats,
 		Bids:            a.bids,
 		LateBids:        a.late,
-		Winners:         a.winners,
-		PartnersReached: len(a.partnerSet),
+		Winners:         len(a.cpms),
+		PartnersReached: len(a.reach),
 		Beacons:         a.beacons,
 		Requests:        a.requests,
-		BidPosts:        a.bidPosts,
-		BidErrors:       a.bidErrors,
-		Retries:         a.retries,
-		Abandoned:       a.abandoned,
-		Quarantined:     a.quarantined,
-		TotalWinCPM:     a.winCPMSum,
+		BidPosts:        deg.BidPosts,
+		BidErrors:       deg.BidErrors,
+		Retries:         deg.Retries,
+		Abandoned:       deg.Abandoned,
+		Quarantined:     deg.Quarantined,
 		Extra:           a.extra,
 		Elapsed:         elapsed,
 	}
-	if len(a.latencies) > 0 {
-		e := stats.NewECDF(a.latencies)
-		res.LatencyMedianMS = e.Quantile(0.5)
-		res.LatencyP90MS = e.Quantile(0.9)
-		res.FracOver1s = 1 - e.P(1000)
-		res.FracOver3s = 1 - e.P(3000)
+	if lat := a.lat.Result(); lat.Sites > 0 {
+		res.LatencyMedianMS = lat.MedianMS
+		res.LatencyP90MS = lat.ECDF.Quantile(0.9)
+		res.FracOver1s = lat.FracOver1s
+		res.FracOver3s = lat.FracOver3s
 	}
 	if len(a.cpms) > 0 {
-		res.MedianCPM = stats.NewECDF(a.cpms).Quantile(0.5)
+		// Summing the sorted multiset makes the revenue total independent
+		// of how the crawl grouped records into shards.
+		e := stats.NewECDF(a.cpms)
+		res.MedianCPM = e.Quantile(0.5)
+		for _, x := range e.Values() {
+			res.TotalWinCPM += x
+		}
 	}
-	hbSites, partnerSum := 0, 0
-	for _, sf := range a.siteFirst {
-		hbSites++
-		partnerSum += sf.partners
-	}
-	if hbSites > 0 {
-		res.MeanPartnersPerHBSite = float64(partnerSum) / float64(hbSites)
+	if pps := a.perSite.Result(); pps.SiteCount > 0 {
+		partners := 0.0
+		for _, n := range pps.ECDF.Values() {
+			partners += n
+		}
+		res.MeanPartnersPerHBSite = partners / float64(pps.SiteCount)
 	}
 	return res
 }

@@ -9,7 +9,6 @@ import (
 
 	"headerbid/internal/analysis"
 	"headerbid/internal/crawler"
-	"headerbid/internal/dataset"
 	"headerbid/internal/overlay"
 	"headerbid/internal/sitegen"
 )
@@ -161,7 +160,6 @@ func (s *Sweep) runVariant(ctx context.Context, spec runSpec) (VariantResult, er
 	//hbvet:allow detwall VariantResult.Elapsed is wall-clock operator metadata; crawl results come from the virtual clock
 	start := time.Now()
 	opts := s.Opts
-	opts.Workers = opts.ResolvedWorkers()
 	if !spec.ov.IsZero() {
 		ov := spec.ov
 		opts.Overlay = &ov
@@ -172,22 +170,12 @@ func (s *Sweep) runVariant(ctx context.Context, spec runSpec) (VariantResult, er
 		extra = s.Metrics()
 	}
 	agg := newVariantAgg(extra)
-	shards := make([]analysis.Metric, opts.Workers)
-	for i := range shards {
-		shards[i] = agg.NewShard()
-	}
-	fold := func(shard int, r *dataset.SiteRecord) { shards[shard].Add(r) }
 
 	var emit crawler.EmitFunc
 	if s.Emit != nil {
 		emit = func(v crawler.Visit) error { return s.Emit(spec.axis, spec.name, v) }
 	}
-	err := crawler.CrawlStreamSharded(ctx, s.World, opts, emit, fold)
-	// Merge shards even on early exit, mirroring Experiment.Run: the
-	// partial aggregate is still well-formed (though Run discards it).
-	for _, sh := range shards {
-		agg.Merge(sh)
-	}
+	err := crawler.CrawlStreamSharded(ctx, s.World, opts, emit, []analysis.Metric{agg})
 	if err != nil {
 		return VariantResult{}, fmt.Errorf("scenario: variant %s/%s: %w", spec.axis, spec.name, err)
 	}

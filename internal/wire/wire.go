@@ -12,6 +12,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 )
 
 // ErrCorrupt reports a structurally invalid stream (an implausible
@@ -22,6 +23,11 @@ var ErrCorrupt = errors.New("wire: corrupt stream")
 // codec carries is far below it; anything above is a corrupt or hostile
 // stream, refused before allocation.
 const maxLen = 1 << 30
+
+// chunk caps the up-front allocation for a length prefix the source
+// cannot vouch for: the value then grows as its bytes actually arrive,
+// so a lying prefix costs at most about twice the bytes really present.
+const chunk = 1 << 12
 
 // Writer encodes primitives to an io.Writer with a sticky error: after
 // the first failure every call is a no-op and Err returns the cause.
@@ -213,30 +219,48 @@ func (r *Reader) Float64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(r.buf[:8]))
 }
 
+// sized reports whether the source knows how many bytes it has left (an
+// in-memory reader: every snapshot section is one).
+func (r *Reader) sized() (left int, ok bool) {
+	l, ok := r.src.(interface{ Len() int })
+	if !ok {
+		return 0, false
+	}
+	return l.Len(), true
+}
+
 // Len reads a length prefix, refusing implausible values before any
-// allocation sized by them.
-func (r *Reader) Len() int {
+// allocation sized by them: anything above maxLen and, when the source
+// knows its size, anything above the bytes left — every encoded element
+// occupies at least one byte.
+func (r *Reader) Len() int { return r.lenOf(1) }
+
+// lenOf reads a length prefix of elements at least size bytes each.
+func (r *Reader) lenOf(size uint64) int {
 	n := r.Uvarint()
 	if n > maxLen {
 		r.fail(ErrCorrupt)
 		return 0
 	}
+	if left, ok := r.sized(); ok && n*size > uint64(left) {
+		r.fail(io.ErrUnexpectedEOF)
+		return 0
+	}
 	return int(n)
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return ""
+// initialCap is the capacity to allocate for n elements: all of them
+// when the source vouched for their bytes (lenOf checked), at most chunk
+// otherwise.
+func (r *Reader) initialCap(n int) int {
+	if _, ok := r.sized(); ok {
+		return n
 	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r.src, p); err != nil {
-		r.fail(err)
-		return ""
-	}
-	return string(p)
+	return min(n, chunk)
 }
+
+// String reads a length-prefixed string.
+func (r *Reader) String() string { return string(r.Bytes()) }
 
 // Bytes reads a length-prefixed byte slice (nil when empty).
 func (r *Reader) Bytes() []byte {
@@ -244,10 +268,14 @@ func (r *Reader) Bytes() []byte {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r.src, p); err != nil {
-		r.fail(err)
-		return nil
+	p := make([]byte, 0, r.initialCap(n))
+	for len(p) < n {
+		k := min(n-len(p), max(cap(p)-len(p), len(p)))
+		p = slices.Grow(p, k)[:len(p)+k]
+		if _, err := io.ReadFull(r.src, p[len(p)-k:]); err != nil {
+			r.fail(err)
+			return nil
+		}
 	}
 	return p
 }
@@ -255,13 +283,13 @@ func (r *Reader) Bytes() []byte {
 // Float64s reads a length-prefixed float64 slice (nil when empty, so
 // encode→decode→encode reproduces the bytes of a nil slice).
 func (r *Reader) Float64s() []float64 {
-	n := r.Len()
+	n := r.lenOf(8)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = r.Float64()
+	xs := make([]float64, 0, r.initialCap(n))
+	for i := 0; i < n && r.err == nil; i++ {
+		xs = append(xs, r.Float64())
 	}
 	if r.err != nil {
 		return nil
@@ -275,9 +303,9 @@ func (r *Reader) Strings() []string {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = r.String()
+	ss := make([]string, 0, r.initialCap(n))
+	for i := 0; i < n && r.err == nil; i++ {
+		ss = append(ss, r.String())
 	}
 	if r.err != nil {
 		return nil

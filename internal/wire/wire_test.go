@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -143,5 +144,45 @@ func TestCorruptBool(t *testing.T) {
 	r := NewReader(bytes.NewReader([]byte{2}))
 	if r.Bool(); r.Err() == nil {
 		t.Fatal("corrupt bool byte accepted")
+	}
+}
+
+// TestLyingLengthBoundedByBytesLeft: a length prefix far beyond the
+// bytes actually present must fail with an error before allocating what
+// it claims — the 5-byte input uvarint(1<<29) once made Float64s
+// allocate 4 GiB. Checked on an in-memory source (the prefix is refused
+// against the bytes left) and on a plain io.Reader that cannot tell its
+// size (the slice grows only as elements arrive).
+func TestLyingLengthBoundedByBytesLeft(t *testing.T) {
+	var buf bytes.Buffer
+	NewWriter(&buf).Uvarint(1 << 29)
+	input := buf.Bytes()
+	if len(input) != 5 {
+		t.Fatalf("prefix is %d bytes, want 5", len(input))
+	}
+	sources := map[string]func() io.Reader{
+		"sized":   func() io.Reader { return bytes.NewReader(input) },
+		"unsized": func() io.Reader { return struct{ io.Reader }{bytes.NewReader(input)} },
+	}
+	decoders := map[string]func(*Reader) bool{
+		"Float64s": func(r *Reader) bool { return r.Float64s() == nil },
+		"Strings":  func(r *Reader) bool { return r.Strings() == nil },
+		"Bytes":    func(r *Reader) bool { return r.Bytes() == nil },
+		"String":   func(r *Reader) bool { return r.String() == "" },
+	}
+	for sname, src := range sources {
+		for dname, decode := range decoders {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r := NewReader(src())
+			empty := decode(r)
+			runtime.ReadMemStats(&after)
+			if !empty || r.Err() == nil {
+				t.Errorf("%s/%s: lying prefix accepted (err=%v)", sname, dname, r.Err())
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("%s/%s: allocated %d bytes for a 5-byte input", sname, dname, alloc)
+			}
+		}
 	}
 }

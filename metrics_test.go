@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"headerbid/internal/analysis"
@@ -40,24 +39,25 @@ func renderFigureReport(t *testing.T, w *World, workers int) []byte {
 
 // TestFigureReportByteIdenticalAcrossWorkers is the metrics-API
 // determinism gate: the full figure report must be byte-identical
-// whether the crawl folded shards on one worker or NumCPU workers, and
-// identical to the batch path over the collected record slice.
+// whether the crawl folded shards on 1, 2, 3 or 7 workers (several
+// shard groupings, whatever the machine's CPU count), and identical to
+// the report folded over the collected record slice.
 func TestFigureReportByteIdenticalAcrossWorkers(t *testing.T) {
 	w := metricsTestWorld(t)
 
 	one := renderFigureReport(t, w, 1)
-	many := renderFigureReport(t, w, max(2, runtime.NumCPU()))
-	if !bytes.Equal(one, many) {
-		t.Fatalf("figure report differs between 1 and %d workers", max(2, runtime.NumCPU()))
+	for _, workers := range []int{2, 3, 7} {
+		if many := renderFigureReport(t, w, workers); !bytes.Equal(one, many) {
+			t.Fatalf("figure report differs between 1 and %d workers", workers)
+		}
 	}
 
 	opts := DefaultCrawlConfig(5)
 	opts.Days = 2
-	recs := Crawl(w, opts)
 	var batch bytes.Buffer
-	Report(&batch, recs)
+	analysis.Fold(NewFigureReport(), crawlRecords(t, w, opts)).Render(&batch)
 	if !bytes.Equal(one, batch.Bytes()) {
-		t.Fatal("sharded figure report differs from the batch Report over collected records")
+		t.Fatal("sharded figure report differs from the report folded over collected records")
 	}
 	if len(one) == 0 || !bytes.Contains(one, []byte("Figure 24")) {
 		t.Fatal("figure report suspiciously incomplete")

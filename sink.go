@@ -4,7 +4,6 @@ import (
 	"io"
 	"os"
 
-	"headerbid/internal/analysis"
 	"headerbid/internal/crawler"
 	"headerbid/internal/dataset"
 	"headerbid/internal/obs"
@@ -175,58 +174,6 @@ func (s *TraceSink) Close() error {
 	}
 	return err
 }
-
-// SummarySink folds each record into an incremental Table-1 Summary on
-// the ordered emit path — a thin adapter over the summary Metric; state
-// is O(distinct sites + partners), never O(records).
-type SummarySink struct {
-	m *analysis.SummaryMetric
-}
-
-// NewSummarySink returns an empty summary accumulator sink.
-func NewSummarySink() *SummarySink {
-	return &SummarySink{m: analysis.NewSummary()}
-}
-
-// Consume folds the record in.
-func (s *SummarySink) Consume(v Visit) error {
-	s.m.Add(v.Record)
-	return nil
-}
-
-// Close is a no-op; Summary stays readable after the run.
-func (s *SummarySink) Close() error { return nil }
-
-// Summary returns the roll-up over everything consumed so far (valid
-// mid-run and after).
-func (s *SummarySink) Summary() Summary { return s.m.Summary() }
-
-// LatencyStats is the Figure-12 latency CDF with the paper's markers.
-type LatencyStats = analysis.LatencyCDFResult
-
-// LatencySink aggregates total-HB-latency samples on the ordered emit
-// path — a thin adapter over the latency Metric: one float64 per HB site
-// instead of the whole record slice.
-type LatencySink struct {
-	m *analysis.LatencyAccumulator
-}
-
-// NewLatencySink returns an empty latency aggregation sink.
-func NewLatencySink() *LatencySink {
-	return &LatencySink{m: analysis.NewLatencyAccumulator()}
-}
-
-// Consume folds the record's HB latency in (non-HB records are ignored).
-func (s *LatencySink) Consume(v Visit) error {
-	s.m.Add(v.Record)
-	return nil
-}
-
-// Close is a no-op; Result stays readable after the run.
-func (s *LatencySink) Close() error { return nil }
-
-// Result computes the latency CDF over everything consumed so far.
-func (s *LatencySink) Result() LatencyStats { return s.m.Result() }
 
 // NewProgressSink reports per-day crawl progress to fn as visits stream
 // out (fn receives visits-done and visits-scheduled for the current

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 )
 
 // BenchmarkSweep_WorldReuse measures what sharing one world across
@@ -15,10 +14,7 @@ import (
 // variant_pct — 100 × variant-minimum / fresh-minimum — stays below its
 // ceiling, i.e. that sweeps never silently regress into regenerating or
 // re-warming per-variant state. Like the metrics-overhead gate, both
-// sides interleave in one run and are summarized by per-side minima:
-// the workload is deterministic, so noise only ever adds time, and
-// contention almost always inflates the ratio's numerator and
-// denominator alike rather than hiding a real regression.
+// sides are estimated by interleavedMinima.
 func BenchmarkSweep_WorldReuse(b *testing.B) {
 	const sites = 1200
 	cfg := DefaultWorldConfig(7)
@@ -37,35 +33,9 @@ func BenchmarkSweep_WorldReuse(b *testing.B) {
 	shared := GenerateWorld(cfg)
 	crawl(shared)
 
-	variantOnce := func() time.Duration {
-		start := time.Now()
-		crawl(shared)
-		return time.Since(start)
-	}
-	freshOnce := func() time.Duration {
-		start := time.Now()
-		crawl(GenerateWorld(cfg))
-		return time.Since(start)
-	}
-
-	var variantMin, freshMin time.Duration
-	keepMin := func(d *time.Duration, v time.Duration) {
-		if *d == 0 || v < *d {
-			*d = v
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			keepMin(&freshMin, freshOnce())
-			keepMin(&variantMin, variantOnce())
-		} else {
-			keepMin(&variantMin, variantOnce())
-			keepMin(&freshMin, freshOnce())
-		}
-	}
-	b.StopTimer()
-
+	freshMin, variantMin := interleavedMinima(b,
+		func() { crawl(GenerateWorld(cfg)) },
+		func() { crawl(shared) })
 	if freshMin > 0 {
 		b.ReportMetric(100*variantMin.Seconds()/freshMin.Seconds(), "variant_pct")
 		b.ReportMetric(float64(freshMin.Milliseconds()), "fresh_ms")
