@@ -27,8 +27,8 @@ STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: build test race vet lint lint-tools bench bench-smoke bench-gate bench-all benchstat baseline profile sweep chaos-smoke fuzz-smoke shard-smoke trace-smoke hbbench-check
 
-# Per-target budget for the CI fuzz smoke over the rtb codec's decoder
-# fuzz targets (go test -fuzz accepts exactly one target per run).
+# Per-target budget for the CI fuzz smoke over the decoder fuzz targets
+# (go test -fuzz accepts exactly one target per run).
 FUZZTIME ?= 10s
 
 build:
@@ -92,14 +92,19 @@ bench-gate:
 		MAX_OBS_OVERHEAD_PCT=$(OBS_OVERHEAD_PCT) \
 		MAX_SWEEP_VARIANT_PCT=$(SWEEP_VARIANT_PCT) sh scripts/bench_gate.sh
 
-# Short fuzz run over the rtb codec's decoder targets: each target
-# differentially checks the zero-reflection fast path against
-# encoding/json (struct equality, re-encode fixed point, error parity).
-# The committed corpus under internal/rtb/testdata/fuzz/ also replays as
-# plain unit tests on every 'make test'.
+# Short fuzz run over the decoders of outside bytes. The rtb codec's
+# targets differentially check the zero-reflection fast path against
+# encoding/json (struct equality, re-encode fixed point, error parity);
+# the shard-file target checks that the reader never panics and that an
+# accepted file re-marshals to a fixed point. Its seeds are whole shard
+# files (kilobytes), so minimizing each new input would eat the budget:
+# the run skips minimization. The committed corpora under
+# internal/*/testdata/fuzz/ also replay as plain unit tests on every
+# 'make test'.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidRequest$$' -fuzztime $(FUZZTIME) ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidResponse$$' -fuzztime $(FUZZTIME) ./internal/rtb
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalShard$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/snapshot
 
 # Counterfactual-sweep smoke: a small timeout+partners+network sweep
 # over one shared world, comparison rendered to stdout.

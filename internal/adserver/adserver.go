@@ -125,8 +125,6 @@ type Server struct {
 	cfg   Config
 	rng   *rng.Stream
 	items []LineItem
-	// stats
-	decisions []Decision
 }
 
 // New creates a server with a generated line-item book.
@@ -216,7 +214,6 @@ func (s *Server) Decide(req Request) Decision {
 			d.Channel = "unfilled"
 		}
 	}
-	s.decisions = append(s.decisions, d)
 	return d
 }
 
@@ -257,25 +254,6 @@ func (s *Server) consume(li *LineItem) {
 	if li.Remaining > 0 {
 		li.Remaining--
 	}
-}
-
-// Decisions returns the decision log.
-func (s *Server) Decisions() []Decision { return s.decisions }
-
-// FillRateByChannel summarizes the decision log.
-func (s *Server) FillRateByChannel() map[string]float64 {
-	if len(s.decisions) == 0 {
-		return nil
-	}
-	counts := make(map[string]int)
-	for _, d := range s.decisions {
-		counts[d.Channel]++
-	}
-	out := make(map[string]float64, len(counts))
-	for ch, n := range counts {
-		out[ch] = float64(n) / float64(len(s.decisions))
-	}
-	return out
 }
 
 // RenderTag builds the ad-server response markup for a decision: a

@@ -112,23 +112,6 @@ func TestDecisionLatencyPositive(t *testing.T) {
 	}
 }
 
-func TestFillRateByChannelSumsToOne(t *testing.T) {
-	s := newServer(6)
-	for i := 0; i < 200; i++ {
-		s.Decide(Request{Site: "x", AdUnit: "u", Size: hb.SizeMediumRectangle})
-	}
-	var total float64
-	for _, f := range s.FillRateByChannel() {
-		total += f
-	}
-	if total < 0.999 || total > 1.001 {
-		t.Fatalf("fill rates sum to %v", total)
-	}
-	if s2 := newServer(7); s2.FillRateByChannel() != nil {
-		t.Fatal("empty server should report nil fill rates")
-	}
-}
-
 func TestDeterministicAcrossInstances(t *testing.T) {
 	a, b := newServer(42), newServer(42)
 	for i := 0; i < 100; i++ {

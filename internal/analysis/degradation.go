@@ -35,14 +35,6 @@ func (r DegradationResult) BidErrorRate() float64 {
 	return float64(r.BidErrors) / float64(r.BidPosts)
 }
 
-// AbandonmentRate is the never-answered share of bid posts.
-func (r DegradationResult) AbandonmentRate() float64 {
-	if r.BidPosts == 0 {
-		return 0
-	}
-	return float64(r.Abandoned) / float64(r.BidPosts)
-}
-
 // DegradationMetric accumulates DegradationResult incrementally.
 type DegradationMetric struct {
 	res  DegradationResult

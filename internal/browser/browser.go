@@ -57,11 +57,6 @@ type Options struct {
 	// PageTimeout aborts the visit if the document does not load in time
 	// (the crawler uses 60s, mirroring the paper's crawl policy).
 	PageTimeout time.Duration
-	// NoEventHistory creates pages whose event bus dispatches without
-	// recording history. Detectors subscribe and consume events live, so
-	// the crawler enables this; tests that assert on Bus.History leave it
-	// off.
-	NoEventHistory bool
 }
 
 // DefaultOptions mirror the crawl configuration in the paper.
@@ -100,12 +95,8 @@ type Page struct {
 
 // NewPage creates a page bound to env.
 func NewPage(env Env, opts Options) *Page {
-	bus := events.NewBus()
-	if opts.NoEventHistory {
-		bus = events.NewBusNoHistory()
-	}
 	p := &Page{
-		Bus:       bus,
+		Bus:       events.NewBus(),
 		Inspector: webreq.NewInspector(),
 		env:       env,
 		opts:      opts,
@@ -124,7 +115,7 @@ func NewPage(env Env, opts Options) *Page {
 // drops them).
 func (p *Page) Rebind(env Env, opts Options) {
 	p.URL = ""
-	p.Bus.Reset(!opts.NoEventHistory)
+	p.Bus.Reset()
 	p.Inspector.Reset()
 	p.env = env
 	p.envFetch, _ = env.(CallFetcher)

@@ -90,9 +90,9 @@ func TestQuarantineByteIdenticalAcrossWorkers(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		dw := dataset.NewWriter(&buf)
-		if err := CrawlStream(context.Background(), w, opts, func(v Visit) error {
+		if err := CrawlStreamSharded(context.Background(), w, opts, func(v Visit) error {
 			return dw.Write(v.Record)
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := dw.Close(); err != nil {
@@ -194,10 +194,10 @@ func corruptVisit(t testingT, w *sitegen.World, site *sitegen.Site, body string)
 		}
 	}
 	var rec *dataset.SiteRecord
-	if err := CrawlStream(context.Background(), w, opts, func(v Visit) error {
+	if err := CrawlStreamSharded(context.Background(), w, opts, func(v Visit) error {
 		rec = v.Record
 		return nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rec == nil {

@@ -13,11 +13,12 @@
 //   - Live (real HTTP): the same visit logic over package livenet, used
 //     by integration tests and the live examples.
 //
-// The primary entry point is CrawlStream: it pushes each completed visit
-// to a caller-supplied emit function in deterministic crawl order (by
-// day, then rank) the moment it becomes emittable, honors context
-// cancellation, and never materializes the dataset. CrawlWorld is the
-// batch convenience built on top of it.
+// The one entry point is CrawlStreamSharded: it pushes each completed
+// visit to a caller-supplied emit function in deterministic crawl order
+// (by day, then rank) the moment it becomes emittable, folds every
+// record into per-worker metric shards, honors context cancellation,
+// and never materializes the dataset. CrawlWorld is the in-memory
+// convenience built on top of it.
 package crawler
 
 import (
@@ -124,7 +125,7 @@ type Visit struct {
 
 // EmitFunc receives each visit in deterministic crawl order (by day, then
 // rank). Returning a non-nil error aborts the crawl and surfaces the
-// error from CrawlStream.
+// error from CrawlStreamSharded.
 type EmitFunc func(Visit) error
 
 type crawlJob struct {
@@ -132,32 +133,27 @@ type crawlJob struct {
 	day  int
 }
 
-// CrawlStream runs the full measurement over a generated world on the
-// simulated network, pushing each record to emit the moment it becomes
-// emittable in order — no record is retained by the crawler itself.
-// Visits run on opts.Workers goroutines; a small reorder window (bounded
-// by worker count) restores deterministic order, so the stream is
-// byte-identical to the batch path regardless of scheduling.
+// CrawlStreamSharded runs the full measurement over a generated world
+// on the simulated network, pushing each record to emit the moment it
+// becomes emittable in order — no record is retained by the crawler
+// itself. Visits run on opts.Workers goroutines; a small reorder window
+// (bounded by worker count) restores deterministic order, so the stream
+// is byte-identical regardless of scheduling. It returns ctx.Err() as
+// soon as the context is cancelled (in-flight visits finish but are not
+// emitted), or the first error returned by emit.
 //
-// CrawlStream returns ctx.Err() as soon as the context is cancelled
-// (in-flight visits finish but are not emitted), or the first error
-// returned by emit.
-func CrawlStream(ctx context.Context, w *sitegen.World, opts Options, emit EmitFunc) error {
-	return CrawlStreamSharded(ctx, w, opts, emit, nil)
-}
-
-// CrawlStreamSharded is CrawlStream with sharded metric accumulation —
-// the one place the metrics API folds a live crawl. Before any visit,
-// each worker gets its own shard of every metric (NewShard; worker i's
-// shards, in metric order, are created before worker i+1's). A worker
-// adds each record it produces to its shards, on its own goroutine and
-// off the order-preserving emit path, so shard state needs no locks.
-// When the crawl ends — normally, on cancellation or on emit error — the
-// shards are merged back into metrics in worker order. Records reach a
-// shard in that worker's completion order, not crawl order; the Metric
-// contract makes both invisible in the result. On early exit, in-flight
-// visits may be folded though never emitted, so metrics then hold a
-// superset of the emitted stream.
+// It is also the one place the metrics API folds a live crawl (metrics
+// may be nil). Before any visit, each worker gets its own shard of
+// every metric (NewShard; worker i's shards, in metric order, are
+// created before worker i+1's). A worker adds each record it produces
+// to its shards, on its own goroutine and off the order-preserving emit
+// path, so shard state needs no locks. When the crawl ends — normally,
+// on cancellation or on emit error — the shards are merged back into
+// metrics in worker order. Records reach a shard in that worker's
+// completion order, not crawl order; the Metric contract makes both
+// invisible in the result. On early exit, in-flight visits may be
+// folded though never emitted, so metrics then hold a superset of the
+// emitted stream.
 func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emit EmitFunc, metrics []analysis.Metric) error {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
@@ -340,15 +336,15 @@ func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts O
 }
 
 // CrawlWorld runs the full measurement and returns all site records
-// (visit order: by day, then rank) — the batch convenience over
-// CrawlStream for callers that want the whole dataset in memory.
+// (visit order: by day, then rank) — the convenience over
+// CrawlStreamSharded for callers that want the whole dataset in memory.
 func CrawlWorld(w *sitegen.World, opts Options) []*dataset.SiteRecord {
 	all := make([]*dataset.SiteRecord, 0, len(w.Sites))
 	// Background context + collecting emit: cannot fail.
-	_ = CrawlStream(context.Background(), w, opts, func(v Visit) error {
+	_ = CrawlStreamSharded(context.Background(), w, opts, func(v Visit) error {
 		all = append(all, v.Record)
 		return nil
-	})
+	}, nil)
 	return all
 }
 
@@ -419,7 +415,6 @@ func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts 
 	rt.Overlay = opts.Overlay
 	rt.LastActivity = nil
 	bopts := browser.DefaultOptions()
-	bopts.NoEventHistory = true // the detector consumes events live
 	if opts.PageTimeout > 0 {
 		bopts.PageTimeout = opts.PageTimeout
 	}

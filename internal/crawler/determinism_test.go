@@ -22,9 +22,9 @@ func jsonlOf(t *testing.T, workers, days int) []byte {
 
 	var buf bytes.Buffer
 	dw := dataset.NewWriter(&buf)
-	err := CrawlStream(context.Background(), w, opts, func(v Visit) error {
+	err := CrawlStreamSharded(context.Background(), w, opts, func(v Visit) error {
 		return dw.Write(v.Record)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestShardedCrawlIsExactSubset(t *testing.T) {
 	lineOf := func(w *sitegen.World) map[string][]byte {
 		t.Helper()
 		out := make(map[string][]byte)
-		err := CrawlStream(context.Background(), w, opts, func(v Visit) error {
+		err := CrawlStreamSharded(context.Background(), w, opts, func(v Visit) error {
 			var buf bytes.Buffer
 			dw := dataset.NewWriter(&buf)
 			if err := dw.Write(v.Record); err != nil {
@@ -85,7 +85,7 @@ func TestShardedCrawlIsExactSubset(t *testing.T) {
 			}
 			out[key] = buf.Bytes()
 			return nil
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,34 +4,20 @@ import (
 	"testing"
 	"time"
 
-	"headerbid/internal/browser"
-	"headerbid/internal/clock"
-	"headerbid/internal/core"
+	"headerbid/internal/dataset"
 	"headerbid/internal/hb"
-	"headerbid/internal/pagert"
 	"headerbid/internal/simnet"
 	"headerbid/internal/sitegen"
 )
 
-// visitWithNet replicates VisitSimulated's wiring but exposes the network
-// so tests can inject faults before the visit.
-func visitWithNet(t *testing.T, w *sitegen.World, s *sitegen.Site,
-	prep func(*simnet.Network)) *core.Observation {
-	t.Helper()
-	sched := clock.NewScheduler(time.Time{})
-	net := simnet.New(sched, 99)
-	w.InstallSimnet(net)
+// visitFaulted runs one production visit of s, with prep (when non-nil)
+// injecting faults on the visit's network through the VisitHook.
+func visitFaulted(w *sitegen.World, s *sitegen.Site, prep func(*simnet.Network)) *dataset.SiteRecord {
+	opts := DefaultOptions(99)
 	if prep != nil {
-		prep(net)
+		opts.VisitHook = func(net *simnet.Network, _ *sitegen.Site, _ int) { prep(net) }
 	}
-
-	env := net.Env()
-	b := browser.New(env, pagert.New(w.Registry), browser.DefaultOptions())
-	page := b.Visit(s.PageURL(), nil)
-	det := core.Attach(page, w.Registry)
-	sched.RunUntil(sched.Now().Add(90 * time.Second))
-	page.Close()
-	return det.Observation()
+	return VisitSimulated(w, s, 0, opts)
 }
 
 func faultWorld(t *testing.T) (*sitegen.World, *sitegen.Site) {
@@ -54,7 +40,7 @@ func TestDetectionSurvivesPartnerOutage(t *testing.T) {
 	// Kill every bidder endpoint except DFP: bid requests all fail at
 	// transport level, yet the page must still be classified HB (the ad
 	// server round still happens) and must not crash anything.
-	obs := visitWithNet(t, w, site, func(net *simnet.Network) {
+	obs := visitFaulted(w, site, func(net *simnet.Network) {
 		for _, slug := range site.Partners[1:] {
 			p, _ := w.Registry.BySlug(slug)
 			net.Fault(p.Host, simnet.FaultMode{FailProb: 1, Err: "connection refused"})
@@ -74,7 +60,7 @@ func TestDetectionSurvivesPartnerOutage(t *testing.T) {
 
 func TestDetectionSurvivesAdServerOutage(t *testing.T) {
 	w, site := faultWorld(t)
-	obs := visitWithNet(t, w, site, func(net *simnet.Network) {
+	obs := visitFaulted(w, site, func(net *simnet.Network) {
 		net.Fault("doubleclick.net", simnet.FaultMode{FailProb: 1, Err: "reset"})
 	})
 	// With DFP dark, client-side events still fire: the page is detected
@@ -82,14 +68,14 @@ func TestDetectionSurvivesAdServerOutage(t *testing.T) {
 	if !obs.HB {
 		t.Fatal("ad-server outage broke detection entirely")
 	}
-	if obs.TotalHBLatency != 0 {
-		t.Fatalf("latency measured without an ad-server response: %v", obs.TotalHBLatency)
+	if obs.TotalHBLatencyMS != 0 {
+		t.Fatalf("latency measured without an ad-server response: %vms", obs.TotalHBLatencyMS)
 	}
 }
 
 func TestDetectionSurvivesSlowPartners(t *testing.T) {
 	w, site := faultWorld(t)
-	obs := visitWithNet(t, w, site, func(net *simnet.Network) {
+	obs := visitFaulted(w, site, func(net *simnet.Network) {
 		for _, slug := range site.Partners[1:] {
 			p, _ := w.Registry.BySlug(slug)
 			net.Fault(p.Host, simnet.FaultMode{ExtraLatency: 20 * time.Second})
@@ -101,17 +87,17 @@ func TestDetectionSurvivesSlowPartners(t *testing.T) {
 	// The wrapper's deadline bounds the round: latency stays near the
 	// site's timeout plus the ad-server exchange, far below the injected
 	// 20s delay.
-	limit := time.Duration(site.TimeoutMS)*time.Millisecond + 5*time.Second
-	if obs.TotalHBLatency <= 0 || obs.TotalHBLatency > limit {
-		t.Fatalf("latency = %v, want (0, %v] (deadline must bound the round)", obs.TotalHBLatency, limit)
+	limit := float64(site.TimeoutMS) + 5000
+	if obs.TotalHBLatencyMS <= 0 || obs.TotalHBLatencyMS > limit {
+		t.Fatalf("latency = %vms, want (0, %v] (deadline must bound the round)", obs.TotalHBLatencyMS, limit)
 	}
 }
 
 func TestCleanRunMatchesFaultFreeBaseline(t *testing.T) {
 	w, site := faultWorld(t)
-	a := visitWithNet(t, w, site, nil)
-	b := visitWithNet(t, w, site, nil)
-	if a.Facet != b.Facet || a.TotalHBLatency != b.TotalHBLatency {
+	a := visitFaulted(w, site, nil)
+	b := visitFaulted(w, site, nil)
+	if a.Facet != b.Facet || a.TotalHBLatencyMS != b.TotalHBLatencyMS {
 		t.Fatal("fault-free visits not reproducible")
 	}
 }

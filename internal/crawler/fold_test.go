@@ -81,7 +81,7 @@ func TestShardedFoldSeesEveryRecordOnce(t *testing.T) {
 	}
 }
 
-// TestCrawlStreamNilFold: the plain CrawlStream path (no metrics) must be
+// TestCrawlStreamNilFold: a crawl with no metrics (nil) must be
 // unaffected by sharding.
 func TestCrawlStreamNilFold(t *testing.T) {
 	w := smallWorld(t, 40)

@@ -53,9 +53,9 @@ func crawlJSONL(t *testing.T, eager bool) []byte {
 
 	var buf bytes.Buffer
 	dw := dataset.NewWriter(&buf)
-	err := CrawlStream(context.Background(), w, opts, func(v Visit) error {
+	err := CrawlStreamSharded(context.Background(), w, opts, func(v Visit) error {
 		return dw.Write(v.Record)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"headerbid/internal/sitegen"
 )
 
-// TestStreamMatchesBatch: CrawlStream must emit exactly the records
+// TestStreamMatchesBatch: CrawlStreamSharded must emit exactly the records
 // CrawlWorld returns, in the same order, regardless of worker scheduling.
 func TestStreamMatchesBatch(t *testing.T) {
 	w := smallWorld(t, 200)
@@ -21,13 +21,13 @@ func TestStreamMatchesBatch(t *testing.T) {
 
 	var streamed []string
 	var lastDone, lastTotal int
-	err := CrawlStream(context.Background(), w, opts, func(v Visit) error {
+	err := CrawlStreamSharded(context.Background(), w, opts, func(v Visit) error {
 		streamed = append(streamed, v.Record.Domain)
 		if v.Day == 0 {
 			lastDone, lastTotal = v.Done, v.Total
 		}
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,13 @@ func TestStreamCancellation(t *testing.T) {
 
 	emitted := 0
 	start := time.Now()
-	err := CrawlStream(ctx, w, DefaultOptions(5), func(v Visit) error {
+	err := CrawlStreamSharded(ctx, w, DefaultOptions(5), func(v Visit) error {
 		emitted++
 		if emitted == 10 {
 			cancel()
 		}
 		return nil
-	})
+	}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -76,13 +76,13 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 	w := smallWorld(t, 150)
 	sentinel := errors.New("sink full")
 	emitted := 0
-	err := CrawlStream(context.Background(), w, DefaultOptions(5), func(v Visit) error {
+	err := CrawlStreamSharded(context.Background(), w, DefaultOptions(5), func(v Visit) error {
 		emitted++
 		if emitted == 5 {
 			return sentinel
 		}
 		return nil
-	})
+	}, nil)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
@@ -101,10 +101,10 @@ func TestStreamFilterAndFirstDay(t *testing.T) {
 	opts.FirstDay = 3
 
 	var got []*dataset.SiteRecord
-	err := CrawlStream(context.Background(), w, opts, func(v Visit) error {
+	err := CrawlStreamSharded(context.Background(), w, opts, func(v Visit) error {
 		got = append(got, v.Record)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,9 @@ type Listener func(Event)
 // Bus dispatches events to listeners. It is intentionally synchronous and
 // single-threaded: pages (and the simulation's scheduler) deliver events
 // in order, and the detector relies on that ordering. The zero value is
-// ready to use.
+// ready to use. A bus keeps no event history: every observer (the
+// detector, a test collecting a sequence) subscribes and consumes
+// events as they fire.
 //
 // Listeners live in append-ordered slices (registration order is the
 // dispatch order), so Emit is a plain iteration — the previous
@@ -93,8 +95,6 @@ type Listener func(Event)
 type Bus struct {
 	byType    map[Type][]Listener
 	wildcards []Listener
-	history   []Event
-	keepAll   bool
 	// gen is bumped by Reset. Cancel funcs capture the generation they
 	// were issued under and become no-ops after a Reset, so a stale
 	// cancel from a previous page cannot nil a listener slot the current
@@ -102,16 +102,8 @@ type Bus struct {
 	gen uint64
 }
 
-// NewBus returns an empty bus that also records event history (used by
-// tests and the detector's late analysis passes).
+// NewBus returns an empty bus.
 func NewBus() *Bus {
-	return &Bus{keepAll: true}
-}
-
-// NewBusNoHistory returns a bus that dispatches without recording
-// history. The crawler uses it: detector listeners consume events as
-// they fire, and retaining tens of events per visit only fed the GC.
-func NewBusNoHistory() *Bus {
 	return &Bus{}
 }
 
@@ -143,12 +135,11 @@ func (b *Bus) SubscribeAll(fn Listener) (cancel func()) {
 	}
 }
 
-// Reset returns the bus to the state NewBus (keepAll=true) or
-// NewBusNoHistory (keepAll=false) would produce, reusing the listener
-// tables' and history's storage. Pages pooled across crawl visits reset
+// Reset returns the bus to the state NewBus would produce, reusing the
+// listener tables' storage. Pages pooled across crawl visits reset
 // their bus instead of allocating a new one; outstanding cancel funcs
 // from before the reset become no-ops.
-func (b *Bus) Reset(keepAll bool) {
+func (b *Bus) Reset() {
 	b.gen++
 	for t, ls := range b.byType {
 		clear(ls)
@@ -156,21 +147,10 @@ func (b *Bus) Reset(keepAll bool) {
 	}
 	clear(b.wildcards)
 	b.wildcards = b.wildcards[:0]
-	b.keepAll = keepAll
-	if keepAll {
-		clear(b.history)
-		b.history = b.history[:0]
-	} else {
-		b.history = nil
-	}
 }
 
-// Emit delivers e to listeners in deterministic (registration) order and
-// appends it to history.
+// Emit delivers e to listeners in deterministic (registration) order.
 func (b *Bus) Emit(e Event) {
-	if b.keepAll || b.history != nil {
-		b.history = append(b.history, e)
-	}
 	for _, fn := range b.byType[e.Type] {
 		if fn != nil {
 			fn(e)
@@ -181,16 +161,4 @@ func (b *Bus) Emit(e Event) {
 			fn(e)
 		}
 	}
-}
-
-// History returns all events emitted so far, in order.
-func (b *Bus) History() []Event { return b.history }
-
-// CountByType tallies history by event type.
-func (b *Bus) CountByType() map[Type]int {
-	out := make(map[Type]int)
-	for _, e := range b.history {
-		out[e.Type]++
-	}
-	return out
 }

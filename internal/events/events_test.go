@@ -19,13 +19,18 @@ func TestBusSubscribeAndEmit(t *testing.T) {
 
 func TestBusSubscribeAll(t *testing.T) {
 	b := NewBus()
-	n := 0
-	b.SubscribeAll(func(Event) { n++ })
+	var seen []Type
+	b.SubscribeAll(func(e Event) { seen = append(seen, e.Type) })
 	for _, typ := range AllTypes() {
 		b.Emit(Event{Type: typ})
 	}
-	if n != len(AllTypes()) {
-		t.Fatalf("wildcard saw %d, want %d", n, len(AllTypes()))
+	if len(seen) != len(AllTypes()) {
+		t.Fatalf("wildcard saw %d, want %d", len(seen), len(AllTypes()))
+	}
+	for i, typ := range AllTypes() {
+		if seen[i] != typ {
+			t.Fatalf("wildcard event %d = %s, want %s (emit order)", i, seen[i], typ)
+		}
 	}
 }
 
@@ -53,20 +58,6 @@ func TestBusDeliveryOrder(t *testing.T) {
 		if i >= len(order) || order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-}
-
-func TestBusHistoryAndCounts(t *testing.T) {
-	b := NewBus()
-	b.Emit(Event{Type: AuctionInit})
-	b.Emit(Event{Type: BidResponse})
-	b.Emit(Event{Type: BidResponse})
-	if len(b.History()) != 3 {
-		t.Fatalf("history = %d", len(b.History()))
-	}
-	counts := b.CountByType()
-	if counts[BidResponse] != 2 || counts[AuctionInit] != 1 {
-		t.Fatalf("counts = %v", counts)
 	}
 }
 
@@ -147,10 +138,7 @@ func TestBusReset(t *testing.T) {
 		t.Fatalf("pre-reset n = %d", n)
 	}
 
-	b.Reset(true)
-	if len(b.History()) != 0 {
-		t.Fatalf("history survived reset: %d events", len(b.History()))
-	}
+	b.Reset()
 	n = 0
 	b.Emit(Event{Type: AuctionInit})
 	if n != 0 {
@@ -164,15 +152,5 @@ func TestBusReset(t *testing.T) {
 	b.Emit(Event{Type: AuctionInit})
 	if n != 1 {
 		t.Fatalf("stale cancel killed new listener: n = %d", n)
-	}
-	if len(b.History()) != 2 {
-		t.Fatalf("history after reset = %d, want 2", len(b.History()))
-	}
-
-	// Reset to the no-history policy stops recording.
-	b.Reset(false)
-	b.Emit(Event{Type: AuctionEnd})
-	if b.History() != nil {
-		t.Fatalf("no-history bus recorded %d events", len(b.History()))
 	}
 }

@@ -59,9 +59,11 @@ func testCfg() ServerSideConfig {
 	}
 }
 
-func run(t *testing.T, env *fakeEnv, cfg ServerSideConfig) (*ServerSideResult, *events.Bus) {
+func run(t *testing.T, env *fakeEnv, cfg ServerSideConfig) (*ServerSideResult, []events.Event) {
 	t.Helper()
 	bus := events.NewBus()
+	var evs []events.Event
+	bus.SubscribeAll(func(e events.Event) { evs = append(evs, e) })
 	c := NewServerSide(env, bus, partners.Default(), cfg)
 	var res *ServerSideResult
 	c.Run(func(r *ServerSideResult) { res = r })
@@ -69,7 +71,16 @@ func run(t *testing.T, env *fakeEnv, cfg ServerSideConfig) (*ServerSideResult, *
 	if res == nil {
 		t.Fatal("hosted client never completed")
 	}
-	return res, bus
+	return res, evs
+}
+
+// countByType tallies collected events by type.
+func countByType(evs []events.Event) map[events.Type]int {
+	out := make(map[events.Type]int)
+	for _, e := range evs {
+		out[e.Type]++
+	}
+	return out
 }
 
 func TestHostedAuctionHappyPath(t *testing.T) {
@@ -77,7 +88,7 @@ func TestHostedAuctionHappyPath(t *testing.T) {
 	env.respond = hostedResponder(
 		"s1|hb|https://creatives.example/render?slot=s1&hb_bidder=rubicon&hb_pb=0.30&hb_size=300x250&hb_source=s2s\n" +
 			"s2|house|https://creatives.example/render?slot=s2&channel=house")
-	res, bus := run(t, env, testCfg())
+	res, evs := run(t, env, testCfg())
 
 	if res.Latency() < 250*time.Millisecond {
 		t.Fatalf("latency = %v", res.Latency())
@@ -90,7 +101,7 @@ func TestHostedAuctionHappyPath(t *testing.T) {
 			t.Fatalf("slot %s not rendered", s.Code)
 		}
 	}
-	counts := bus.CountByType()
+	counts := countByType(evs)
 	if counts[events.SlotRenderEnded] != 2 {
 		t.Fatalf("slotRenderEnded = %d", counts[events.SlotRenderEnded])
 	}
@@ -100,7 +111,7 @@ func TestHostedAuctionHappyPath(t *testing.T) {
 	}
 	// The render event must carry the hb_* params for the detector.
 	var sawBidder bool
-	for _, e := range bus.History() {
+	for _, e := range evs {
 		if e.Type == events.SlotRenderEnded && e.Params[hb.KeyBidder] == "rubicon" {
 			sawBidder = true
 		}
@@ -131,11 +142,11 @@ func TestHostedSingleRequest(t *testing.T) {
 func TestHostedRenderFailure(t *testing.T) {
 	env := newFakeEnv()
 	env.respond = hostedResponder("s1|hb|https://creatives.example/render?slot=s1&hb_bidder=ix|fail")
-	res, bus := run(t, env, testCfg())
+	res, evs := run(t, env, testCfg())
 	if !res.Slots[0].RenderFailed {
 		t.Fatal("render failure not recorded")
 	}
-	if bus.CountByType()[events.AdRenderFailed] != 1 {
+	if countByType(evs)[events.AdRenderFailed] != 1 {
 		t.Fatal("adRenderFailed missing")
 	}
 }

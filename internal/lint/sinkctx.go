@@ -7,10 +7,10 @@ import (
 )
 
 // Sinkctx enforces cancellation hygiene in the streaming pipeline: a
-// ctx handed to Run/CrawlStream must actually govern the work. The
-// pipeline's contract (CrawlStream returns ctx.Err() promptly, sinks
-// never wedge a cancelled run) holds only if every function on the
-// path propagates and consults its context.
+// ctx handed to Run/CrawlStreamSharded must actually govern the work.
+// The pipeline's contract (CrawlStreamSharded returns ctx.Err()
+// promptly, sinks never wedge a cancelled run) holds only if every
+// function on the path propagates and consults its context.
 //
 // Three rules:
 //

@@ -67,7 +67,7 @@ func Serve(w *World, serviceScale float64) (*Server, error) {
 		ServiceScale: serviceScale,
 		Stats:        obs.NewServerStats(),
 	}
-	s.httpSrv = &http.Server{Handler: http.HandlerFunc(s.route)}
+	s.httpSrv = &http.Server{Handler: http.HandlerFunc(s.route), ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	go s.httpSrv.Serve(ln)
 	return s, nil
 }

@@ -8,6 +8,7 @@ import (
 	"headerbid/internal/browser"
 	"headerbid/internal/core"
 	"headerbid/internal/hb"
+	"headerbid/internal/obs"
 	"headerbid/internal/pagert"
 	"headerbid/internal/sitegen"
 	"headerbid/internal/webreq"
@@ -41,6 +42,13 @@ func fetchSync(t *testing.T, env *Env, url string) *webreq.Response {
 	case <-time.After(20 * time.Second):
 		t.Fatalf("fetch of %s timed out", url)
 		return nil
+	}
+}
+
+func TestServeSetsReadHeaderTimeout(t *testing.T) {
+	_, srv, _ := liveWorld(t, 5)
+	if srv.httpSrv.ReadHeaderTimeout != obs.ReadHeaderTimeout || obs.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.httpSrv.ReadHeaderTimeout, obs.ReadHeaderTimeout)
 	}
 }
 

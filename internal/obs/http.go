@@ -53,6 +53,13 @@ func NewDebugMux(reg *Registry) *http.ServeMux {
 	return mux
 }
 
+// ReadHeaderTimeout bounds how long the operator-facing servers (the
+// debug surface here and livenet's hbserve) wait for a client to finish
+// sending request headers. Without it, a client that trickles header
+// bytes holds a connection and its goroutine open indefinitely — the
+// slow-loris attack the simulator models against bidders.
+const ReadHeaderTimeout = 10 * time.Second
+
 // Serve binds the debug surface on addr and serves it in the
 // background. Returns the server (Close to stop) and the bound address
 // (useful with ":0"). The listener error surfaces immediately;
@@ -62,7 +69,7 @@ func Serve(addr string, reg *Registry) (*http.Server, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: NewDebugMux(reg)}
+	srv := &http.Server{Handler: NewDebugMux(reg), ReadHeaderTimeout: ReadHeaderTimeout}
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
 }

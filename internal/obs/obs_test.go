@@ -192,6 +192,17 @@ func TestDebugMux(t *testing.T) {
 	}
 }
 
+func TestServeSetsReadHeaderTimeout(t *testing.T) {
+	srv, _, err := Serve("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.ReadHeaderTimeout != ReadHeaderTimeout || ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, ReadHeaderTimeout)
+	}
+}
+
 func TestServerStatsProm(t *testing.T) {
 	st := NewServerStats()
 	st.Observe(ClassPartner, 200*time.Microsecond)

@@ -120,9 +120,11 @@ func testConfig(units int, bidders ...string) Config {
 	return cfg
 }
 
-func runWrapper(t *testing.T, env *fakeEnv, cfg Config) (*Result, *events.Bus) {
+func runWrapper(t *testing.T, env *fakeEnv, cfg Config) (*Result, []events.Event) {
 	t.Helper()
 	bus := events.NewBus()
+	var evs []events.Event
+	bus.SubscribeAll(func(e events.Event) { evs = append(evs, e) })
 	w := New(env, bus, partners.Default(), cfg)
 	var result *Result
 	w.RequestBids(func(r *Result) { result = r })
@@ -130,7 +132,16 @@ func runWrapper(t *testing.T, env *fakeEnv, cfg Config) (*Result, *events.Bus) {
 	if result == nil {
 		t.Fatal("wrapper never completed")
 	}
-	return result, bus
+	return result, evs
+}
+
+// countByType tallies collected events by type.
+func countByType(evs []events.Event) map[events.Type]int {
+	out := make(map[events.Type]int)
+	for _, e := range evs {
+		out[e.Type]++
+	}
+	return out
 }
 
 func TestAuctionHappyPath(t *testing.T) {
@@ -139,7 +150,7 @@ func TestAuctionHappyPath(t *testing.T) {
 		map[string]time.Duration{"appnexus": 200 * time.Millisecond, "rubicon": 300 * time.Millisecond},
 		map[string]float64{"appnexus": 0.50, "rubicon": 0.80},
 	)
-	res, bus := runWrapper(t, env, testConfig(2, "appnexus", "rubicon"))
+	res, evs := runWrapper(t, env, testConfig(2, "appnexus", "rubicon"))
 
 	if len(res.Units) != 2 {
 		t.Fatalf("units = %d", len(res.Units))
@@ -161,7 +172,7 @@ func TestAuctionHappyPath(t *testing.T) {
 		t.Fatalf("total latency = %v, want ≈350ms (early finalize)", lat)
 	}
 
-	counts := bus.CountByType()
+	counts := countByType(evs)
 	if counts[events.AuctionInit] != 2 || counts[events.AuctionEnd] != 2 {
 		t.Fatalf("auction events: %v", counts)
 	}
@@ -200,7 +211,7 @@ func TestLateBidderExcludedFromAuction(t *testing.T) {
 		},
 		map[string]float64{"appnexus": 0.10, "rubicon": 9.99},
 	)
-	res, bus := runWrapper(t, env, testConfig(1, "appnexus", "rubicon"))
+	res, evs := runWrapper(t, env, testConfig(1, "appnexus", "rubicon"))
 
 	u := res.Units[0]
 	if u.Winner == nil || u.Winner.Bidder != "appnexus" {
@@ -218,8 +229,8 @@ func TestLateBidderExcludedFromAuction(t *testing.T) {
 	if !lateSeen {
 		t.Fatal("late bid not recorded at all (the detector needs it)")
 	}
-	if bus.CountByType()[events.BidTimeout] != 1 {
-		t.Fatalf("bidTimeout events = %d, want 1", bus.CountByType()[events.BidTimeout])
+	if countByType(evs)[events.BidTimeout] != 1 {
+		t.Fatalf("bidTimeout events = %d, want 1", countByType(evs)[events.BidTimeout])
 	}
 	// The round finalized at the deadline, not at rubicon's 5s.
 	if lat := res.TotalLatency(); lat < 3*time.Second || lat > 4*time.Second {
@@ -336,11 +347,11 @@ func TestRenderFailureFiresAdRenderFailed(t *testing.T) {
 		}
 		return bidderResponder(nil, map[string]float64{"appnexus": 0.5})(req)
 	}
-	res, bus := runWrapper(t, env, testConfig(1, "appnexus"))
+	res, evs := runWrapper(t, env, testConfig(1, "appnexus"))
 	if !res.Units[0].RenderFailed {
 		t.Fatal("render failure not recorded")
 	}
-	if bus.CountByType()[events.AdRenderFailed] != 1 {
+	if countByType(evs)[events.AdRenderFailed] != 1 {
 		t.Fatal("adRenderFailed event missing")
 	}
 }
@@ -430,9 +441,9 @@ func TestBidResponsesAfterDeadlineStillEmitEvents(t *testing.T) {
 		map[string]time.Duration{"appnexus": 10 * time.Second},
 		map[string]float64{"appnexus": 1.0},
 	)
-	_, bus := runWrapper(t, env, testConfig(1, "appnexus"))
+	_, evs := runWrapper(t, env, testConfig(1, "appnexus"))
 	found := false
-	for _, e := range bus.History() {
+	for _, e := range evs {
 		if e.Type == events.BidResponse && e.Bidder == "appnexus" {
 			found = true
 		}

@@ -46,13 +46,6 @@ func TestFullReportMatchesPreRedesignGolden(t *testing.T) {
 	recs := goldenRecords(t)
 	golden := readGolden(t)
 
-	var batch bytes.Buffer
-	New(&batch).Full(recs, partners.Default())
-	if !bytes.Equal(batch.Bytes(), golden) {
-		t.Errorf("batch Full output diverged from pre-redesign golden (len %d vs %d)",
-			batch.Len(), len(golden))
-	}
-
 	f := NewFigures(partners.Default())
 	for _, r := range recs {
 		f.Add(r)

@@ -55,8 +55,12 @@ func TestTable1Rendering(t *testing.T) {
 }
 
 func TestFullReportRendersEverySection(t *testing.T) {
+	f := NewFigures(partners.Default())
+	for _, r := range fixture() {
+		f.Add(r)
+	}
 	var buf bytes.Buffer
-	New(&buf).Full(fixture(), partners.Default())
+	f.Render(&buf)
 	out := buf.String()
 	sections := []string{
 		"Table 1", "rank band", "Facet breakdown",

@@ -253,13 +253,6 @@ func (s *Stream) Perm(n int) []int {
 	return p
 }
 
-// Shuffle shuffles n elements using swap (Fisher-Yates).
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, s.Intn(i+1))
-	}
-}
-
 // Categorical samples an index proportionally to weights. Zero or negative
 // weights are treated as zero. If all weights are zero it returns 0.
 func (s *Stream) Categorical(weights []float64) int {

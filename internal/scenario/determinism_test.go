@@ -17,9 +17,9 @@ func crawlJSONL(t *testing.T, w *sitegen.World, opts crawler.Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	dw := dataset.NewWriter(&buf)
-	err := crawler.CrawlStream(context.Background(), w, opts, func(v crawler.Visit) error {
+	err := crawler.CrawlStreamSharded(context.Background(), w, opts, func(v crawler.Visit) error {
 		return dw.Write(v.Record)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

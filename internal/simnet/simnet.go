@@ -74,17 +74,6 @@ type FaultMode struct {
 	RampPerSecond float64
 }
 
-// Resolver lazily supplies handlers for hosts that were not explicitly
-// registered with Handle. The network consults it on the first request to
-// an unknown host and memoizes the result, so a world with thousands of
-// potential hosts only materializes handlers for the handful a visit
-// actually contacts (see sitegen.InstallSimnetFor).
-type Resolver interface {
-	// Resolve maps a registrable-domain key to a handler; ok=false means
-	// the host does not exist (dead DNS).
-	Resolve(domainKey string) (h Handler, ok bool)
-}
-
 // BoundHandler is the closure-free form of Handler: a static function
 // plus the receiver-style argument it is invoked with. Because func
 // values and pointers are both pointer-shaped, building and memoizing a
@@ -106,8 +95,12 @@ func runPlainHandler(req *webreq.Request, arg any) (int, string, time.Duration) 
 	return arg.(Handler)(req)
 }
 
-// CallResolver is the closure-free analogue of Resolver: it yields a
-// pre-bound (fn, arg) pair instead of materializing a closure per host.
+// CallResolver lazily supplies handlers for hosts that were not
+// explicitly registered with Handle. The network consults it on the
+// first request to an unknown host and memoizes the result, so a world
+// with thousands of potential hosts only binds handlers for the handful
+// a visit actually contacts (see sitegen.InstallVisit). It yields a
+// pre-bound (fn, arg) pair, so resolving a host never allocates.
 type CallResolver interface {
 	// ResolveCall maps a registrable-domain key to a bound handler;
 	// ok=false means the host does not exist (dead DNS).
@@ -120,9 +113,8 @@ type Network struct {
 	Sched *clock.Scheduler
 
 	hosts        map[string]BoundHandler
-	resolver     Resolver
 	callResolver CallResolver
-	resolved     map[string]BoundHandler // memoized resolver hits; flushed by SetResolver/SetCallResolver
+	resolved     map[string]BoundHandler // memoized resolver hits; flushed by SetCallResolver
 	faults       map[string]FaultMode
 	rng          *rng.Stream
 	frng         *rng.Stream // fault draws only; lazily created, see frand
@@ -169,7 +161,6 @@ func (n *Network) Seed() int64 { return n.seed }
 func (n *Network) Reset(seed int64) {
 	clear(n.hosts)
 	clear(n.resolved)
-	n.resolver = nil
 	n.callResolver = nil
 	n.faults = nil
 	n.rng.Reseed(seed)
@@ -200,38 +191,19 @@ func (n *Network) Handle(host string, h Handler) {
 	n.hosts[hostKey(host)] = BoundHandler{Fn: runPlainHandler, Arg: h}
 }
 
-// HandleCall registers a virtual host with a pre-bound handler (the
-// closure-free registration form).
-func (n *Network) HandleCall(host string, h BoundHandler) {
-	n.hosts[hostKey(host)] = h
-}
-
-// HandleFunc is Handle with an inline function (symmetry with net/http).
-func (n *Network) HandleFunc(host string, h func(req *webreq.Request) (int, string, time.Duration)) {
-	n.Handle(host, h)
-}
-
-// SetResolver installs (or clears, with nil) the lazy host resolver.
-// Explicit Handle registrations take precedence. Handlers memoized from
-// a previous resolver are flushed, so re-installing a world (a new
-// resolver bound to a new per-visit ecosystem) never serves handlers
-// captured for the old one.
-func (n *Network) SetResolver(r Resolver) {
-	n.resolver = r
-	clear(n.resolved) // storage is reused; the entries must not be
-}
-
-// SetCallResolver installs (or clears, with nil) the closure-free lazy
-// resolver. It takes precedence over a Resolver when both are set, and
-// flushes memoized handlers the same way SetResolver does.
+// SetCallResolver installs (or clears, with nil) the lazy host
+// resolver. Explicit Handle registrations take precedence. Handlers
+// memoized from a previous resolver are flushed, so re-installing a
+// world (a new resolver bound to a new per-visit ecosystem) never
+// serves handlers bound for the old one.
 func (n *Network) SetCallResolver(r CallResolver) {
 	n.callResolver = r
-	clear(n.resolved)
+	clear(n.resolved) // storage is reused; the entries must not be
 }
 
 // lookup finds the handler for a registrable-domain key: the explicit
 // host table first, then the memoized resolver results, then the
-// resolvers themselves.
+// resolver itself.
 func (n *Network) lookup(key string) (BoundHandler, bool) {
 	if h, ok := n.hosts[key]; ok {
 		return h, true
@@ -243,13 +215,6 @@ func (n *Network) lookup(key string) (BoundHandler, bool) {
 		if h, ok := n.callResolver.ResolveCall(key); ok {
 			n.memoize(key, h)
 			return h, true
-		}
-	}
-	if n.resolver != nil {
-		if h, ok := n.resolver.Resolve(key); ok {
-			bh := BoundHandler{Fn: runPlainHandler, Arg: h}
-			n.memoize(key, bh)
-			return bh, true
 		}
 	}
 	return BoundHandler{}, false

@@ -113,20 +113,10 @@ func (e *Ecosystem) vt() *obs.VisitTrace { return e.trace }
 
 // NewEcosystem builds the handler state for a world, seeded by the world
 // seed (a long-lived server like livenet keeps advancing these streams
-// across every request it serves).
+// across every request it serves). Per-visit ecosystems live inside a
+// pooled VisitBinding and are re-seeded per visit by InstallVisit.
 func NewEcosystem(w *World) *Ecosystem {
-	return NewEcosystemSeed(w, w.Cfg.Seed)
-}
-
-// NewEcosystemSeed builds handler state with an explicit seed. Per-visit
-// ecosystems (the crawler creates one per clean-slate visit) MUST pass a
-// per-visit seed: otherwise every visit's partner streams restart at the
-// same state, every site sees the identical "first draw" from each
-// partner, and cross-site variance collapses.
-func NewEcosystemSeed(w *World, seed int64) *Ecosystem {
-	// Maps are created on first use: one Ecosystem exists per crawl
-	// visit, and a visit only touches the hosts its site wires up.
-	return &Ecosystem{World: w, seed: seed}
+	return &Ecosystem{World: w, seed: w.Cfg.Seed} // maps are created on first use
 }
 
 // stream returns the named deterministic stream, creating it on first use.
@@ -706,7 +696,10 @@ func visitDispatch(req *webreq.Request, arg any) (int, string, time.Duration) {
 // InstallVisit wires one visit onto a network through a caller-owned
 // (pooled) binding and returns the visit's ecosystem, which lives
 // inside the binding. The previous visit's lazy ecosystem maps keep
-// their storage; their entries are cleared.
+// their storage; their entries are cleared. The ecosystem is seeded
+// per visit (world seed ^ network seed): with one shared seed every
+// site would see the identical first draw from each partner, and
+// cross-site variance would collapse.
 func (w *World) InstallVisit(n *simnet.Network, s *Site, b *VisitBinding) *Ecosystem {
 	b.w = w
 	b.site = s
@@ -718,39 +711,4 @@ func (w *World) InstallVisit(n *simnet.Network, s *Site, b *VisitBinding) *Ecosy
 	clear(b.eco.streams)
 	n.SetCallResolver(b)
 	return &b.eco
-}
-
-// InstallSimnet registers every host of the world on a simulated network:
-// all partner domains, all publisher domains, the creative host, and the
-// static CDNs. It returns the ecosystem for further (fault-injection)
-// control. Long-lived networks (fault-injection tests, servers) want the
-// eager registration; the crawler's per-visit path is InstallVisit.
-func (w *World) InstallSimnet(n *simnet.Network) *Ecosystem {
-	eco := NewEcosystemSeed(w, w.Cfg.Seed^n.Seed())
-	for key, t := range w.sharedTargets() {
-		t := t
-		//hbvet:allow hotalloc eager install runs once per long-lived network, not on the per-visit path (that is InstallVisit)
-		n.Handle(key, func(req *webreq.Request) (int, string, time.Duration) {
-			return t.dispatch(eco, req)
-		})
-	}
-	for _, s := range w.Sites {
-		w.installSite(n, eco, s)
-	}
-	return eco
-}
-
-// InstallSimnetFor registers only the hosts one visit can reach, with a
-// binding allocated for the occasion. Callers that visit repeatedly
-// (the crawler) should pool a VisitBinding and use InstallVisit.
-func (w *World) InstallSimnetFor(n *simnet.Network, s *Site) *Ecosystem {
-	return w.InstallVisit(n, s, &VisitBinding{})
-}
-
-func (w *World) installSite(n *simnet.Network, eco *Ecosystem, s *Site) {
-	s2 := s
-	//hbvet:allow hotalloc eager install runs once per long-lived network, not on the per-visit path (that is InstallVisit)
-	n.Handle(s.Domain, func(req *webreq.Request) (int, string, time.Duration) {
-		return eco.HandleSite(s2, req)
-	})
 }

@@ -228,25 +228,38 @@ func TestHandleSiteServesDocumentAndAdServer(t *testing.T) {
 	}
 }
 
-func TestInstallSimnetRegistersEverything(t *testing.T) {
+func TestInstallVisitServesSiteAndSharedHosts(t *testing.T) {
 	w, _ := ecoWorld(t)
 	sched := clock.NewScheduler(time.Time{})
 	net := simnet.New(sched, 1)
-	w.InstallSimnet(net)
-	// 84 partners + 400 sites + creative host + CDNs.
-	if net.Hosts() < 84+400+4 {
-		t.Fatalf("hosts = %d", net.Hosts())
-	}
-	// Fetch a real page through the network end to end.
-	env := net.Env()
 	site := w.HBSites()[0]
-	var resp *webreq.Response
-	env.Fetch(&webreq.Request{ID: 1, URL: site.PageURL(), Method: webreq.GET}, func(r *webreq.Response) {
-		resp = r
-	})
-	sched.Run()
-	if resp == nil || !resp.OK() || !strings.Contains(resp.Body, site.Domain) {
+	w.InstallVisit(net, site, &VisitBinding{})
+	env := net.Env()
+	fetch := func(url string) *webreq.Response {
+		var resp *webreq.Response
+		env.Fetch(&webreq.Request{ID: 1, URL: url, Method: webreq.GET}, func(r *webreq.Response) {
+			resp = r
+		})
+		sched.Run()
+		return resp
+	}
+	// The visited page and a shared CDN resolve through the binding.
+	if resp := fetch(site.PageURL()); resp == nil || !resp.OK() || !strings.Contains(resp.Body, site.Domain) {
 		t.Fatalf("page fetch through simnet failed: %+v", resp)
+	}
+	if resp := fetch(PrebidCDN); resp == nil || !resp.OK() {
+		t.Fatalf("shared CDN fetch failed: %+v", resp)
+	}
+	// Another publisher is not reachable from this visit: dead DNS.
+	var other *Site
+	for _, s := range w.Sites {
+		if s != site {
+			other = s
+			break
+		}
+	}
+	if resp := fetch(other.PageURL()); resp == nil || resp.OK() {
+		t.Fatalf("unvisited site resolved: %+v", resp)
 	}
 }
 

@@ -129,7 +129,10 @@ func UnmarshalShard(rd io.Reader) (Header, []Codec, error) {
 	if h.ShardCount < 1 {
 		return h, nil, fmt.Errorf("snapshot: shard count %d < 1", h.ShardCount)
 	}
-	h.Shards = make([]int, 0, nShards)
+	// Both counts come from the file, which need not tell the reader its
+	// size, so neither sizes an allocation unchecked. Shards grows only
+	// as its indices arrive; the section count is bounded by the
+	// registry, because sections are distinct registered names.
 	for i := 0; i < nShards; i++ {
 		s := int(r.Uvarint())
 		if r.Err() != nil {
@@ -147,6 +150,9 @@ func UnmarshalShard(rd io.Reader) (Header, []Codec, error) {
 	nMetrics := r.Len()
 	if err := r.Err(); err != nil {
 		return h, nil, err
+	}
+	if nMetrics > len(builders) {
+		return h, nil, fmt.Errorf("snapshot: %d sections, more than the %d registered metrics", nMetrics, len(builders))
 	}
 	metrics := make([]Codec, 0, nMetrics)
 	prev := ""

@@ -2,6 +2,8 @@ package snapshot_test
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"testing"
 
 	"headerbid/internal/crawler"
@@ -198,6 +200,49 @@ func TestUnmarshalRefusals(t *testing.T) {
 	unknown[i] = 'z'
 	if _, _, err := snapshot.UnmarshalShard(bytes.NewReader(unknown)); err == nil {
 		t.Error("unknown metric name accepted")
+	}
+}
+
+// TestLyingHeaderCountsBounded: the shard-index and section counts are
+// read from the file stream, which need not know its size. A ~20-byte
+// header claiming 1<<29 of either must fail with an error, without
+// allocating what it claims (the counts were once capacity hints to
+// make, 4 GiB of shard indices or 8 GiB of sections).
+func TestLyingHeaderCountsBounded(t *testing.T) {
+	header := func(shardCount, nShards, nMetrics uint64) []byte {
+		var buf bytes.Buffer
+		buf.WriteString("HBSHARD\n")
+		w := wire.NewWriter(&buf)
+		w.Uvarint(snapshot.FormatVersion)
+		w.Int64(1)
+		w.Uvarint(shardCount)
+		w.Uvarint(nShards)
+		if nShards == 0 {
+			w.Uvarint(nMetrics)
+		}
+		return buf.Bytes()
+	}
+	inputs := map[string][]byte{
+		"shards":  header(1<<30, 1<<29, 0),
+		"metrics": header(1, 0, 1<<29),
+	}
+	sources := map[string]func([]byte) io.Reader{
+		"sized":   func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"unsized": func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} },
+	}
+	for iname, input := range inputs {
+		for sname, src := range sources {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := snapshot.UnmarshalShard(src(input))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s/%s: lying %d-byte header accepted", iname, sname, len(input))
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("%s/%s: allocated %d bytes for a %d-byte header", iname, sname, alloc, len(input))
+			}
+		}
 	}
 }
 
