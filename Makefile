@@ -96,15 +96,18 @@ bench-gate:
 # targets differentially check the zero-reflection fast path against
 # encoding/json (struct equality, re-encode fixed point, error parity);
 # the shard-file target checks that the reader never panics and that an
-# accepted file re-marshals to a fixed point. Its seeds are whole shard
-# files (kilobytes), so minimizing each new input would eat the budget:
-# the run skips minimization. The committed corpora under
+# accepted file re-marshals to a fixed point; the metric-section target
+# checks the same of each metric's DecodeState alone, and that a decoded
+# metric renders. Their seeds are whole shard files and metric states
+# (kilobytes), so minimizing each new input would eat the budget: those
+# runs skip minimization. The committed corpora under
 # internal/*/testdata/fuzz/ also replay as plain unit tests on every
 # 'make test'.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidRequest$$' -fuzztime $(FUZZTIME) ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidResponse$$' -fuzztime $(FUZZTIME) ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalShard$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/snapshot
 
 # Counterfactual-sweep smoke: a small timeout+partners+network sweep
 # over one shared world, comparison rendered to stdout.

@@ -29,7 +29,7 @@ func main() {
 	// ends — no record slice, no emit-path serialization. Only the
 	// waterfall comparison still needs the full records, so a CollectSink
 	// bridges that one analysis.
-	latVsPartners := headerbid.NewLatencyVsPartnerCount(10)
+	latVsPartners := headerbid.NewLatencyVsPartnerCount()
 	collect := headerbid.NewCollectSink()
 	exp := headerbid.NewExperiment(
 		headerbid.WithSites(3000),

@@ -23,7 +23,7 @@ func main() {
 	// the run accumulates Table-1 numbers incrementally and a streaming
 	// Metric (Figure 8, folded per worker off the emit path) tallies
 	// partner coverage.
-	topPartners := headerbid.NewTopPartners(5)
+	topPartners := headerbid.NewTopPartners()
 	var firstHybrid *headerbid.SiteRecord
 	exp := headerbid.NewExperiment(
 		headerbid.WithSites(200),
@@ -55,7 +55,8 @@ func main() {
 	fmt.Printf("median HB latency: %.0f ms\n", res.Latency.MedianMS)
 
 	fmt.Printf("top demand partners (Figure 8, streamed):")
-	for _, p := range topPartners.Result() {
+	top := topPartners.Result()
+	for _, p := range top[:min(len(top), 5)] {
 		fmt.Printf("  %s %.0f%%", p.Slug, 100*p.Share)
 	}
 	fmt.Printf("\n\n")

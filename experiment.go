@@ -29,17 +29,10 @@ import (
 // Configure with functional options; zero options give a paper-defaults
 // 1000-site, seed-1, one-day crawl.
 type Experiment struct {
-	world    *World
-	worldCfg *WorldConfig
-	sites    int
-	seed     int64
-	seedSet  bool
+	runConfig
 
 	shard sitegen.Shard
 
-	crawlCfg    *CrawlConfig
-	days        int
-	workers     int
 	firstDay    int
 	firstDaySet bool
 	filter      func(*Site) bool
@@ -183,7 +176,7 @@ func WithProgress(fn func(done, total int)) ExperimentOption {
 
 // NewExperiment assembles a streaming crawl pipeline from options.
 func NewExperiment(opts ...ExperimentOption) *Experiment {
-	e := &Experiment{seed: 1}
+	e := &Experiment{runConfig: runConfig{seed: 1}}
 	for _, o := range opts {
 		o(e)
 	}
@@ -236,44 +229,71 @@ type CrawlStats = crawler.Stats
 // LatencyStats is the Figure-12 latency CDF with the paper's markers.
 type LatencyStats = analysis.LatencyCDFResult
 
-// World resolves the world this experiment crawls (generating it if
-// needed); repeated calls return the same world.
-func (e *Experiment) World() *World {
-	if e.world == nil {
-		cfg := sitegen.DefaultConfig(e.seed)
-		if e.worldCfg != nil {
-			cfg = *e.worldCfg
-			if e.seedSet {
-				cfg.Seed = e.seed
+// runConfig is the world and crawl-policy resolution an Experiment and
+// a Sweep share: the world to crawl (given or generated from a config,
+// site count and seed) and the crawl policy (given or the paper
+// defaults, with the seed, days and workers overriding it).
+type runConfig struct {
+	world    *World
+	worldCfg *WorldConfig
+	sites    int
+	seed     int64
+	seedSet  bool
+
+	crawlCfg *CrawlConfig
+	days     int
+	workers  int
+}
+
+// resolveWorld returns the configured world, generating shard sh of it
+// on first use (the whole world when sh is zero); repeated calls return
+// the same world.
+func (c *runConfig) resolveWorld(sh sitegen.Shard) *World {
+	if c.world == nil {
+		cfg := sitegen.DefaultConfig(c.seed)
+		if c.worldCfg != nil {
+			cfg = *c.worldCfg
+			if c.seedSet {
+				cfg.Seed = c.seed
 			}
 		}
-		if e.sites > 0 {
-			cfg.NumSites = e.sites
+		if c.sites > 0 {
+			cfg.NumSites = c.sites
 		}
-		sh := e.shard
 		if sh.IsZero() {
 			sh = sitegen.Shard{Index: 0, Count: 1}
 		}
-		e.world = sitegen.GenerateShard(cfg, sh)
+		c.world = sitegen.GenerateShard(cfg, sh)
 	}
-	return e.world
+	return c.world
 }
 
-// crawlOptions resolves the effective crawl policy.
-func (e *Experiment) crawlOptions() crawler.Options {
-	opts := crawler.DefaultOptions(e.seed)
-	if e.crawlCfg != nil {
-		opts = *e.crawlCfg
-		if e.seedSet {
-			opts.Seed = e.seed
+// crawlOptions resolves the crawl policy: the given or paper-default
+// policy with the seed, days and workers settings applied.
+func (c *runConfig) crawlOptions() crawler.Options {
+	opts := crawler.DefaultOptions(c.seed)
+	if c.crawlCfg != nil {
+		opts = *c.crawlCfg
+		if c.seedSet {
+			opts.Seed = c.seed
 		}
 	}
-	if e.days > 0 {
-		opts.Days = e.days
+	if c.days > 0 {
+		opts.Days = c.days
 	}
-	if e.workers > 0 {
-		opts.Workers = e.workers
+	if c.workers > 0 {
+		opts.Workers = c.workers
 	}
+	return opts
+}
+
+// World resolves the world this experiment crawls (generating it if
+// needed); repeated calls return the same world.
+func (e *Experiment) World() *World { return e.resolveWorld(e.shard) }
+
+// runOptions resolves the effective crawl policy of this experiment.
+func (e *Experiment) runOptions() crawler.Options {
+	opts := e.crawlOptions()
 	if e.firstDaySet {
 		opts.FirstDay = e.firstDay
 	}
@@ -305,7 +325,7 @@ func (e *Experiment) Run(ctx context.Context) (Results, error) {
 		return Results{}, fmt.Errorf("headerbid: invalid shard %d/%d", e.shard.Index, e.shard.Count)
 	}
 	w := e.World()
-	opts := e.crawlOptions()
+	opts := e.runOptions()
 	if sh := e.shard; sh.Count > 1 && w.Shard != sh {
 		// The world came in via WithWorld already materialized (or as a
 		// different slice); restrict the crawl to this shard's members.

@@ -168,16 +168,19 @@ type PartnerShare struct {
 	Share float64 // fraction of HB sites the partner appears on
 }
 
+// topPartnersK is how many partners Figure 8 lists.
+const topPartnersK = 12
+
 // TopPartnersMetric accumulates Figure 8 incrementally: the partner list
 // of the first HB record per domain.
 type TopPartnersMetric struct {
-	k     int
 	sites firstOf[[]string]
 }
 
-// NewTopPartners returns an empty Figure-8 metric; k<=0 reports all.
-func NewTopPartners(k int) *TopPartnersMetric {
-	return &TopPartnersMetric{k: k, sites: newFirstOf[[]string]()}
+// NewTopPartners returns an empty Figure-8 metric reporting the
+// topPartnersK partners on the most HB sites.
+func NewTopPartners() *TopPartnersMetric {
+	return &TopPartnersMetric{sites: newFirstOf[[]string]()}
 }
 
 // Name identifies the metric.
@@ -191,8 +194,8 @@ func (m *TopPartnersMetric) Add(r *dataset.SiteRecord) {
 	m.sites.add(r.Domain, r.VisitDay, r.Partners)
 }
 
-// NewShard returns a fresh empty accumulator with the same k.
-func (m *TopPartnersMetric) NewShard() Metric { return NewTopPartners(m.k) }
+// NewShard returns a fresh empty accumulator.
+func (m *TopPartnersMetric) NewShard() Metric { return NewTopPartners() }
 
 // Merge folds a shard in.
 func (m *TopPartnersMetric) Merge(other Metric) {
@@ -223,10 +226,7 @@ func (m *TopPartnersMetric) Result() []PartnerShare {
 		}
 		return out[i].Slug < out[j].Slug
 	})
-	if m.k > 0 && len(out) > m.k {
-		out = out[:m.k]
-	}
-	return out
+	return out[:min(len(out), topPartnersK)]
 }
 
 // UniquePartnersMetric counts distinct partners incrementally.
@@ -349,18 +349,21 @@ type ComboShare struct {
 	Share float64
 }
 
+// partnerCombosK is how many partner combinations Figure 10 lists.
+const partnerCombosK = 15
+
 // PartnerCombosMetric accumulates Figure 10 incrementally: the partner
 // list of the first HB record per domain. Combination keys are built at
 // Result time — one sort+join per distinct site, not per visit, keeping
 // the per-record fold cheap on multi-day crawls.
 type PartnerCombosMetric struct {
-	k     int
 	sites firstOf[[]string]
 }
 
-// NewPartnerCombos returns an empty Figure-10 metric; k<=0 reports all.
-func NewPartnerCombos(k int) *PartnerCombosMetric {
-	return &PartnerCombosMetric{k: k, sites: newFirstOf[[]string]()}
+// NewPartnerCombos returns an empty Figure-10 metric reporting the
+// partnerCombosK most common combinations.
+func NewPartnerCombos() *PartnerCombosMetric {
+	return &PartnerCombosMetric{sites: newFirstOf[[]string]()}
 }
 
 // Name identifies the metric.
@@ -374,8 +377,8 @@ func (m *PartnerCombosMetric) Add(r *dataset.SiteRecord) {
 	m.sites.add(r.Domain, r.VisitDay, r.Partners)
 }
 
-// NewShard returns a fresh empty accumulator with the same k.
-func (m *PartnerCombosMetric) NewShard() Metric { return NewPartnerCombos(m.k) }
+// NewShard returns a fresh empty accumulator.
+func (m *PartnerCombosMetric) NewShard() Metric { return NewPartnerCombos() }
 
 // Merge folds a shard in.
 func (m *PartnerCombosMetric) Merge(other Metric) {
@@ -415,10 +418,7 @@ func (m *PartnerCombosMetric) Result() []ComboShare {
 		}
 		return out[i].Key < out[j].Key
 	})
-	if m.k > 0 && len(out) > m.k {
-		out = out[:m.k]
-	}
-	return out
+	return out[:min(len(out), partnerCombosK)]
 }
 
 // PartnerBidShare is one partner's share of observed bids within a facet
@@ -429,18 +429,20 @@ type PartnerBidShare struct {
 	Share float64
 }
 
+// partnersPerFacetK is how many partners Figure 11 lists per facet.
+const partnersPerFacetK = 10
+
 // PartnersPerFacetMetric accumulates Figure 11 incrementally: per-facet
 // bid counts per partner, over every HB record (all days).
 type PartnersPerFacetMetric struct {
-	k      int
 	counts map[hb.Facet]map[string]int
 	totals map[hb.Facet]int
 }
 
-// NewPartnersPerFacet returns an empty Figure-11 metric; k<=0 reports all.
-func NewPartnersPerFacet(k int) *PartnersPerFacetMetric {
+// NewPartnersPerFacet returns an empty Figure-11 metric reporting the
+// partnersPerFacetK partners with the most bids in each facet.
+func NewPartnersPerFacet() *PartnersPerFacetMetric {
 	m := &PartnersPerFacetMetric{
-		k:      k,
 		counts: make(map[hb.Facet]map[string]int, 3),
 		totals: make(map[hb.Facet]int, 3),
 	}
@@ -471,8 +473,8 @@ func (m *PartnersPerFacetMetric) Add(r *dataset.SiteRecord) {
 	}
 }
 
-// NewShard returns a fresh empty accumulator with the same k.
-func (m *PartnersPerFacetMetric) NewShard() Metric { return NewPartnersPerFacet(m.k) }
+// NewShard returns a fresh empty accumulator.
+func (m *PartnersPerFacetMetric) NewShard() Metric { return NewPartnersPerFacet() }
 
 // Merge folds a shard in.
 func (m *PartnersPerFacetMetric) Merge(other Metric) {
@@ -504,10 +506,7 @@ func (m *PartnersPerFacetMetric) Result() map[hb.Facet][]PartnerBidShare {
 			}
 			return shares[i].Slug < shares[j].Slug
 		})
-		if m.k > 0 && len(shares) > m.k {
-			shares = shares[:m.k]
-		}
-		out[facet] = shares
+		out[facet] = shares[:min(len(shares), partnersPerFacetK)]
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestFacetBreakdown(t *testing.T) {
 }
 
 func TestTopPartners(t *testing.T) {
-	top := Fold(NewTopPartners(0), fixtureRecords()).Result()
+	top := Fold(NewTopPartners(), fixtureRecords()).Result()
 	if top[0].Slug != "criteo" && top[0].Slug != "dfp" {
 		t.Fatalf("top = %+v", top)
 	}
@@ -107,8 +108,13 @@ func TestTopPartners(t *testing.T) {
 	if byName["appnexus"].Sites != 1 {
 		t.Fatalf("appnexus = %+v", byName["appnexus"])
 	}
-	if len(Fold(NewTopPartners(2), fixtureRecords()).Result()) != 2 {
-		t.Fatal("k limit ignored")
+	many := make([]string, topPartnersK+3)
+	for i := range many {
+		many[i] = fmt.Sprintf("p%02d", i)
+	}
+	wide := []*dataset.SiteRecord{{Domain: "w.example", HB: true, Partners: many}}
+	if n := len(Fold(NewTopPartners(), wide).Result()); n != topPartnersK {
+		t.Fatalf("%d partners listed, want the cutoff %d", n, topPartnersK)
 	}
 }
 
@@ -126,7 +132,7 @@ func TestPartnersPerSite(t *testing.T) {
 }
 
 func TestPartnerCombos(t *testing.T) {
-	combos := Fold(NewPartnerCombos(0), fixtureRecords()).Result()
+	combos := Fold(NewPartnerCombos(), fixtureRecords()).Result()
 	keys := map[string]int{}
 	for _, c := range combos {
 		keys[c.Key] = c.Sites
@@ -137,7 +143,7 @@ func TestPartnerCombos(t *testing.T) {
 }
 
 func TestPartnersPerFacet(t *testing.T) {
-	byFacet := Fold(NewPartnersPerFacet(0), fixtureRecords()).Result()
+	byFacet := Fold(NewPartnersPerFacet(), fixtureRecords()).Result()
 	server := byFacet[hb.FacetServer]
 	if len(server) != 1 || server[0].Slug != "rubicon" || server[0].Share != 1 {
 		t.Fatalf("server = %+v", server)
@@ -168,7 +174,7 @@ func TestLatencyCDF(t *testing.T) {
 }
 
 func TestLatencyVsRank(t *testing.T) {
-	bins := Fold(NewLatencyVsRank(500), fixtureRecords()).Result()
+	bins := Fold(NewLatencyVsRank(), fixtureRecords()).Result()
 	if len(bins) != 3 {
 		t.Fatalf("bins = %d", len(bins))
 	}
@@ -199,7 +205,7 @@ func TestPartnerLatenciesAndExtremes(t *testing.T) {
 }
 
 func TestLatencyVsPartnerCount(t *testing.T) {
-	rows := Fold(NewLatencyVsPartnerCount(15), fixtureRecords()).Result()
+	rows := Fold(NewLatencyVsPartnerCount(), fixtureRecords()).Result()
 	byCount := map[int]CountLatency{}
 	for _, r := range rows {
 		byCount[r.Partners] = r
@@ -232,7 +238,16 @@ func TestLateBids(t *testing.T) {
 }
 
 func TestLateBidsPerPartner(t *testing.T) {
-	rows := Fold(NewLateBidsPerPartner(0, 1), fixtureRecords()).Result()
+	// Three copies of the fixture clear the lateBidsMinBids floor; one
+	// copy (two criteo bids) does not.
+	if rows := Fold(NewLateBidsPerPartner(), fixtureRecords()).Result(); len(rows) != 0 {
+		t.Fatalf("rows under the %d-bid floor = %+v", lateBidsMinBids, rows)
+	}
+	var recs []*dataset.SiteRecord
+	for i := 0; i < lateBidsMinBids; i++ {
+		recs = append(recs, fixtureRecords()...)
+	}
+	rows := Fold(NewLateBidsPerPartner(), recs).Result()
 	byName := map[string]PartnerLateShare{}
 	for _, r := range rows {
 		byName[r.Slug] = r
@@ -259,7 +274,7 @@ func TestSlotsPerSite(t *testing.T) {
 }
 
 func TestLatencyVsSlots(t *testing.T) {
-	rows := Fold(NewLatencyVsSlots(15), fixtureRecords()).Result()
+	rows := Fold(NewLatencyVsSlots(), fixtureRecords()).Result()
 	byCount := map[int]CountLatency{}
 	for _, r := range rows {
 		byCount[r.Partners] = r
@@ -270,7 +285,7 @@ func TestLatencyVsSlots(t *testing.T) {
 }
 
 func TestSlotSizes(t *testing.T) {
-	byFacet := Fold(NewSlotSizes(0), fixtureRecords()).Result()
+	byFacet := Fold(NewSlotSizes(), fixtureRecords()).Result()
 	hybrid := byFacet[hb.FacetHybrid]
 	if len(hybrid) != 2 {
 		t.Fatalf("hybrid sizes = %+v", hybrid)
@@ -294,7 +309,13 @@ func TestPriceCDF(t *testing.T) {
 }
 
 func TestPricePerSize(t *testing.T) {
-	rows := Fold(NewPricePerSize(1), fixtureRecords()).Result()
+	// Repeating the fixture clears the pricePerSizeMinBids floor without
+	// moving any median.
+	var recs []*dataset.SiteRecord
+	for i := 0; i < pricePerSizeMinBids; i++ {
+		recs = append(recs, fixtureRecords()...)
+	}
+	rows := Fold(NewPricePerSize(), recs).Result()
 	if len(rows) == 0 {
 		t.Fatal("no sizes")
 	}
@@ -310,7 +331,7 @@ func TestPricePerSize(t *testing.T) {
 }
 
 func TestPriceVsPopularity(t *testing.T) {
-	bins := Fold(NewPriceVsPopularity(partners.Default(), 10), fixtureRecords()).Result()
+	bins := Fold(NewPriceVsPopularity(partners.Default()), fixtureRecords()).Result()
 	if len(bins) == 0 {
 		t.Fatal("no bins")
 	}
@@ -340,13 +361,13 @@ func TestDedupeAcrossDays(t *testing.T) {
 func TestEmptyDatasetSafe(t *testing.T) {
 	var empty []*dataset.SiteRecord
 	_ = Fold(NewFacetBreakdown(), empty).Result()
-	_ = Fold(NewTopPartners(5), empty).Result()
+	_ = Fold(NewTopPartners(), empty).Result()
 	_ = Fold(NewPartnersPerSite(), empty).Result()
-	_ = Fold(NewPartnerCombos(5), empty).Result()
+	_ = Fold(NewPartnerCombos(), empty).Result()
 	_ = Fold(NewLatencyAccumulator(), empty).Result()
 	_ = Fold(NewLateBids(), empty).Result()
 	_ = Fold(NewSlotsPerSite(), empty).Result()
 	_ = Fold(NewPriceCDF(), empty).Result()
-	_ = Fold(NewPricePerSize(1), empty).Result()
+	_ = Fold(NewPricePerSize(), empty).Result()
 	// No panics is the assertion.
 }

@@ -12,19 +12,19 @@ import (
 // enforced by the snapshot determinism suite for every registered
 // metric:
 //
-//   - EncodeState writes the complete accumulator state — configuration
-//     parameters included — as a pure function of that state: map
-//     iteration never reaches the bytes (keys are written sorted), so
-//     equal states encode to equal bytes and
-//     encode(decode(encode(m))) == encode(m) holds byte for byte.
+//   - EncodeState writes the complete accumulator state as a pure
+//     function of that state: map iteration never reaches the bytes
+//     (keys are written sorted), so equal states encode to equal bytes
+//     and encode(decode(encode(m))) == encode(m) holds byte for byte.
 //   - DecodeState replaces the receiver's state with the serialized
 //     one. The decoded metric is a full Metric: Add, Merge (in either
 //     role) and Snapshot behave exactly as on the original, which is
 //     what makes shard files foldable in any order or grouping.
 //
-// Dependencies that are not state — the partner registry handed to the
-// popularity metrics — are not serialized; the snapshot registry's
-// constructors supply them.
+// Configuration is not state. A figure's parameters (top-k cutoffs, bin
+// widths, sample floors) are constants of its metric, and dependencies —
+// the partner registry handed to the popularity metrics — come from the
+// snapshot registry's constructors; neither is serialized.
 type Codec interface {
 	Metric
 	EncodeState(w *wire.Writer)
@@ -191,13 +191,11 @@ func (m *FacetBreakdownMetric) DecodeState(r *wire.Reader) error {
 
 // EncodeState implements Codec.
 func (m *TopPartnersMetric) EncodeState(w *wire.Writer) {
-	w.Int(m.k)
 	encodeFirstOf(w, m.sites, func(w *wire.Writer, ps []string) { w.Strings(ps) })
 }
 
 // DecodeState implements Codec.
 func (m *TopPartnersMetric) DecodeState(r *wire.Reader) error {
-	m.k = r.Int()
 	m.sites = decodeFirstOf(r, (*wire.Reader).Strings)
 	return r.Err()
 }
@@ -235,13 +233,11 @@ func (m *PartnersPerSiteMetric) DecodeState(r *wire.Reader) error {
 
 // EncodeState implements Codec.
 func (m *PartnerCombosMetric) EncodeState(w *wire.Writer) {
-	w.Int(m.k)
 	encodeFirstOf(w, m.sites, func(w *wire.Writer, ps []string) { w.Strings(ps) })
 }
 
 // DecodeState implements Codec.
 func (m *PartnerCombosMetric) DecodeState(r *wire.Reader) error {
-	m.k = r.Int()
 	m.sites = decodeFirstOf(r, (*wire.Reader).Strings)
 	return r.Err()
 }
@@ -250,7 +246,6 @@ func (m *PartnerCombosMetric) DecodeState(r *wire.Reader) error {
 // hb.Facets() at construction, so they are written positionally in that
 // order, no keys.
 func (m *PartnersPerFacetMetric) EncodeState(w *wire.Writer) {
-	w.Int(m.k)
 	for _, f := range hb.Facets() {
 		encodeStringCounts(w, m.counts[f])
 		w.Int(m.totals[f])
@@ -259,7 +254,6 @@ func (m *PartnersPerFacetMetric) EncodeState(w *wire.Writer) {
 
 // DecodeState implements Codec.
 func (m *PartnersPerFacetMetric) DecodeState(r *wire.Reader) error {
-	m.k = r.Int()
 	m.counts = make(map[hb.Facet]map[string]int, 3)
 	m.totals = make(map[hb.Facet]int, 3)
 	for _, f := range hb.Facets() {
@@ -299,14 +293,12 @@ func (m *PartnerLatenciesMetric) DecodeState(r *wire.Reader) error {
 
 // EncodeState implements Codec.
 func (m *LatencyVsPartnerCountMetric) EncodeState(w *wire.Writer) {
-	w.Int(m.maxPartners)
 	encodeFirstOf(w, m.sites, func(w *wire.Writer, n int) { w.Int(n) })
 	encodeIntSamples(w, m.byCount)
 }
 
 // DecodeState implements Codec.
 func (m *LatencyVsPartnerCountMetric) DecodeState(r *wire.Reader) error {
-	m.maxPartners = r.Int()
 	m.sites = decodeFirstOf(r, (*wire.Reader).Int)
 	m.byCount = decodeIntSamples(r)
 	return r.Err()
@@ -342,16 +334,12 @@ func (m *LateBidsMetric) DecodeState(r *wire.Reader) error {
 
 // EncodeState implements Codec.
 func (m *LateBidsPerPartnerMetric) EncodeState(w *wire.Writer) {
-	w.Int(m.k)
-	w.Int(m.minBids)
 	encodeStringCounts(w, m.bids)
 	encodeStringCounts(w, m.late)
 }
 
 // DecodeState implements Codec.
 func (m *LateBidsPerPartnerMetric) DecodeState(r *wire.Reader) error {
-	m.k = r.Int()
-	m.minBids = r.Int()
 	m.bids = decodeStringCounts(r)
 	m.late = decodeStringCounts(r)
 	return r.Err()
@@ -374,14 +362,10 @@ func (m *SlotsPerSiteMetric) DecodeState(r *wire.Reader) error {
 }
 
 // EncodeState implements Codec.
-func (m *LatencyVsSlotsMetric) EncodeState(w *wire.Writer) {
-	w.Int(m.maxSlots)
-	encodeIntSamples(w, m.byCount)
-}
+func (m *LatencyVsSlotsMetric) EncodeState(w *wire.Writer) { encodeIntSamples(w, m.byCount) }
 
 // DecodeState implements Codec.
 func (m *LatencyVsSlotsMetric) DecodeState(r *wire.Reader) error {
-	m.maxSlots = r.Int()
 	m.byCount = decodeIntSamples(r)
 	return r.Err()
 }
@@ -389,7 +373,6 @@ func (m *LatencyVsSlotsMetric) DecodeState(r *wire.Reader) error {
 // EncodeState implements Codec. Like PartnersPerFacetMetric, the outer
 // facet maps are fixed to hb.Facets() and written positionally.
 func (m *SlotSizesMetric) EncodeState(w *wire.Writer) {
-	w.Int(m.k)
 	for _, f := range hb.Facets() {
 		counts := m.counts[f]
 		sizes := sortedSizes(counts)
@@ -405,7 +388,6 @@ func (m *SlotSizesMetric) EncodeState(w *wire.Writer) {
 
 // DecodeState implements Codec.
 func (m *SlotSizesMetric) DecodeState(r *wire.Reader) error {
-	m.k = r.Int()
 	m.counts = make(map[hb.Facet]map[hb.Size]int, 3)
 	m.totals = make(map[hb.Facet]int, 3)
 	for _, f := range hb.Facets() {
@@ -453,7 +435,6 @@ func (m *PriceCDFMetric) DecodeState(r *wire.Reader) error {
 
 // EncodeState implements Codec.
 func (m *PricePerSizeMetric) EncodeState(w *wire.Writer) {
-	w.Int(m.minBids)
 	sizes := sortedSizes(m.bySize)
 	w.Uvarint(uint64(len(sizes)))
 	for _, sz := range sizes {
@@ -465,7 +446,6 @@ func (m *PricePerSizeMetric) EncodeState(w *wire.Writer) {
 
 // DecodeState implements Codec.
 func (m *PricePerSizeMetric) DecodeState(r *wire.Reader) error {
-	m.minBids = r.Int()
 	n := r.Len()
 	m.bySize = make(map[hb.Size][]float64, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -485,7 +465,6 @@ func (m *PriceVsPopularityMetric) DecodeState(r *wire.Reader) error { return m.b
 
 // EncodeState implements Codec.
 func (m *TrafficMetric) EncodeState(w *wire.Writer) {
-	w.Float64(m.passes)
 	w.Float64s(m.bidReqs)
 	w.Float64s(m.hbRel)
 	w.Float64s(m.total)
@@ -507,7 +486,6 @@ func (m *TrafficMetric) EncodeState(w *wire.Writer) {
 
 // DecodeState implements Codec.
 func (m *TrafficMetric) DecodeState(r *wire.Reader) error {
-	m.passes = r.Float64()
 	m.bidReqs = r.Float64s()
 	m.hbRel = r.Float64s()
 	m.total = r.Float64s()

@@ -74,19 +74,19 @@ func (a *LatencyAccumulator) Result() LatencyCDFResult {
 	}
 }
 
+// rankBinWidth is the width of Figure 13's site-rank bins.
+const rankBinWidth = 500
+
 // LatencyVsRankMetric accumulates Figure 13 incrementally: per-rank-bin
 // latency samples.
 type LatencyVsRankMetric struct {
 	b *stats.Binner
 }
 
-// NewLatencyVsRank returns an empty Figure-13 metric (binWidth<=0 uses
-// the paper's 500).
-func NewLatencyVsRank(binWidth int) *LatencyVsRankMetric {
-	if binWidth <= 0 {
-		binWidth = 500
-	}
-	return &LatencyVsRankMetric{b: stats.NewBinner(binWidth)}
+// NewLatencyVsRank returns an empty Figure-13 metric binning sites by
+// rank in bins of rankBinWidth.
+func NewLatencyVsRank() *LatencyVsRankMetric {
+	return &LatencyVsRankMetric{b: stats.NewBinner(rankBinWidth)}
 }
 
 // Name identifies the metric.
@@ -99,8 +99,8 @@ func (m *LatencyVsRankMetric) Add(r *dataset.SiteRecord) {
 	}
 }
 
-// NewShard returns a fresh empty accumulator with the same bin width.
-func (m *LatencyVsRankMetric) NewShard() Metric { return NewLatencyVsRank(m.b.Width) }
+// NewShard returns a fresh empty accumulator.
+func (m *LatencyVsRankMetric) NewShard() Metric { return NewLatencyVsRank() }
 
 // Merge folds a shard in.
 func (m *LatencyVsRankMetric) Merge(other Metric) {
@@ -226,25 +226,23 @@ type CountLatency struct {
 	SiteShare float64
 }
 
+// maxPartnerCount is Figure 15's last partner-count row; higher counts
+// are clamped into it.
+const maxPartnerCount = 15
+
 // LatencyVsPartnerCountMetric accumulates Figure 15 incrementally:
 // per-domain partner counts (first HB record wins) plus latency samples
 // per capped partner count over every HB record.
 type LatencyVsPartnerCountMetric struct {
-	maxPartners int
-	sites       firstOf[int]
-	byCount     map[int][]float64
+	sites   firstOf[int]
+	byCount map[int][]float64
 }
 
-// NewLatencyVsPartnerCount returns an empty Figure-15 metric
-// (maxPartners<=0 uses the paper's 15; higher counts are clamped).
-func NewLatencyVsPartnerCount(maxPartners int) *LatencyVsPartnerCountMetric {
-	if maxPartners <= 0 {
-		maxPartners = 15
-	}
+// NewLatencyVsPartnerCount returns an empty Figure-15 metric.
+func NewLatencyVsPartnerCount() *LatencyVsPartnerCountMetric {
 	return &LatencyVsPartnerCountMetric{
-		maxPartners: maxPartners,
-		sites:       newFirstOf[int](),
-		byCount:     make(map[int][]float64),
+		sites:   newFirstOf[int](),
+		byCount: make(map[int][]float64),
 	}
 }
 
@@ -259,15 +257,13 @@ func (m *LatencyVsPartnerCountMetric) Add(r *dataset.SiteRecord) {
 	n := len(r.Partners)
 	m.sites.add(r.Domain, r.VisitDay, n)
 	if n > 0 && r.TotalHBLatencyMS > 0 {
-		c := min(n, m.maxPartners)
+		c := min(n, maxPartnerCount)
 		m.byCount[c] = append(m.byCount[c], r.TotalHBLatencyMS)
 	}
 }
 
-// NewShard returns a fresh empty accumulator with the same cap.
-func (m *LatencyVsPartnerCountMetric) NewShard() Metric {
-	return NewLatencyVsPartnerCount(m.maxPartners)
-}
+// NewShard returns a fresh empty accumulator.
+func (m *LatencyVsPartnerCountMetric) NewShard() Metric { return NewLatencyVsPartnerCount() }
 
 // Merge folds a shard in.
 func (m *LatencyVsPartnerCountMetric) Merge(other Metric) {
@@ -287,11 +283,11 @@ func (m *LatencyVsPartnerCountMetric) Result() []CountLatency {
 		if n == 0 {
 			return
 		}
-		siteCount[min(n, m.maxPartners)]++
+		siteCount[min(n, maxPartnerCount)]++
 		totalSites++
 	})
 	var out []CountLatency
-	for n := 1; n <= m.maxPartners; n++ {
+	for n := 1; n <= maxPartnerCount; n++ {
 		xs := m.byCount[n]
 		if len(xs) == 0 {
 			continue
@@ -310,6 +306,10 @@ func (m *LatencyVsPartnerCountMetric) Result() []CountLatency {
 	return out
 }
 
+// popularityBinWidth is the width of the partner-popularity bins of
+// Figures 16 and 24.
+const popularityBinWidth = 10
+
 // LatencyVsPopularityMetric accumulates Figure 16 incrementally:
 // per-popularity-rank-bin latency samples.
 type LatencyVsPopularityMetric struct {
@@ -317,13 +317,10 @@ type LatencyVsPopularityMetric struct {
 	b   *stats.Binner
 }
 
-// NewLatencyVsPopularity returns an empty Figure-16 metric (binWidth<=0
-// uses the paper's 10).
-func NewLatencyVsPopularity(reg *partners.Registry, binWidth int) *LatencyVsPopularityMetric {
-	if binWidth <= 0 {
-		binWidth = 10
-	}
-	return &LatencyVsPopularityMetric{reg: reg, b: stats.NewBinner(binWidth)}
+// NewLatencyVsPopularity returns an empty Figure-16 metric ranking
+// partners by reg's popularity order, in bins of popularityBinWidth.
+func NewLatencyVsPopularity(reg *partners.Registry) *LatencyVsPopularityMetric {
+	return &LatencyVsPopularityMetric{reg: reg, b: stats.NewBinner(popularityBinWidth)}
 }
 
 // Name identifies the metric.
@@ -345,11 +342,8 @@ func (m *LatencyVsPopularityMetric) Add(r *dataset.SiteRecord) {
 	}
 }
 
-// NewShard returns a fresh empty accumulator with the same registry and
-// bin width.
-func (m *LatencyVsPopularityMetric) NewShard() Metric {
-	return NewLatencyVsPopularity(m.reg, m.b.Width)
-}
+// NewShard returns a fresh empty accumulator with the same registry.
+func (m *LatencyVsPopularityMetric) NewShard() Metric { return NewLatencyVsPopularity(m.reg) }
 
 // Merge folds a shard in.
 func (m *LatencyVsPopularityMetric) Merge(other Metric) {
@@ -471,19 +465,24 @@ type PartnerLateShare struct {
 	LateShare float64
 }
 
+// Figure 18 lists the lateBidsK partners with the highest late-bid
+// share among those with at least lateBidsMinBids client-side bids; the
+// floor filters noise.
+const (
+	lateBidsK       = 25
+	lateBidsMinBids = 3
+)
+
 // LateBidsPerPartnerMetric accumulates Figure 18 incrementally:
 // per-partner bid and late-bid counters.
 type LateBidsPerPartnerMetric struct {
-	k, minBids int
-	bids       map[string]int
-	late       map[string]int
+	bids map[string]int
+	late map[string]int
 }
 
-// NewLateBidsPerPartner returns an empty Figure-18 metric; minBids
-// filters noise; k<=0 reports all.
-func NewLateBidsPerPartner(k, minBids int) *LateBidsPerPartnerMetric {
+// NewLateBidsPerPartner returns an empty Figure-18 metric.
+func NewLateBidsPerPartner() *LateBidsPerPartnerMetric {
 	return &LateBidsPerPartnerMetric{
-		k: k, minBids: minBids,
 		bids: make(map[string]int),
 		late: make(map[string]int),
 	}
@@ -511,10 +510,8 @@ func (m *LateBidsPerPartnerMetric) Add(r *dataset.SiteRecord) {
 	}
 }
 
-// NewShard returns a fresh empty accumulator with the same filters.
-func (m *LateBidsPerPartnerMetric) NewShard() Metric {
-	return NewLateBidsPerPartner(m.k, m.minBids)
-}
+// NewShard returns a fresh empty accumulator.
+func (m *LateBidsPerPartnerMetric) NewShard() Metric { return NewLateBidsPerPartner() }
 
 // Merge folds a shard in.
 func (m *LateBidsPerPartnerMetric) Merge(other Metric) {
@@ -531,7 +528,7 @@ func (m *LateBidsPerPartnerMetric) Snapshot() any { return m.Result() }
 func (m *LateBidsPerPartnerMetric) Result() []PartnerLateShare {
 	var out []PartnerLateShare
 	for slug, bids := range m.bids {
-		if bids < m.minBids {
+		if bids < lateBidsMinBids {
 			continue
 		}
 		late := m.late[slug]
@@ -546,8 +543,5 @@ func (m *LateBidsPerPartnerMetric) Result() []PartnerLateShare {
 		}
 		return out[i].Slug < out[j].Slug
 	})
-	if m.k > 0 && len(out) > m.k {
-		out = out[:m.k]
-	}
-	return out
+	return out[:min(len(out), lateBidsK)]
 }

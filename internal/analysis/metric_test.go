@@ -11,7 +11,7 @@ import (
 	"headerbid/internal/partners"
 )
 
-// metricCase names one configured instance of every analysis metric.
+// metricCase names one instance of every analysis metric.
 type metricCase struct {
 	name   string
 	metric func() analysis.Metric
@@ -23,25 +23,25 @@ func metricCases() []metricCase {
 		{"summary", func() analysis.Metric { return analysis.NewSummary() }},
 		{"adoption_by_rank_band", func() analysis.Metric { return analysis.NewAdoptionByRankBand() }},
 		{"facet_breakdown", func() analysis.Metric { return analysis.NewFacetBreakdown() }},
-		{"top_partners", func() analysis.Metric { return analysis.NewTopPartners(7) }},
+		{"top_partners", func() analysis.Metric { return analysis.NewTopPartners() }},
 		{"unique_partners", func() analysis.Metric { return analysis.NewUniquePartners() }},
 		{"partners_per_site", func() analysis.Metric { return analysis.NewPartnersPerSite() }},
-		{"partner_combos", func() analysis.Metric { return analysis.NewPartnerCombos(10) }},
-		{"partners_per_facet", func() analysis.Metric { return analysis.NewPartnersPerFacet(6) }},
+		{"partner_combos", func() analysis.Metric { return analysis.NewPartnerCombos() }},
+		{"partners_per_facet", func() analysis.Metric { return analysis.NewPartnersPerFacet() }},
 		{"latency_cdf", func() analysis.Metric { return analysis.NewLatencyAccumulator() }},
-		{"latency_vs_rank", func() analysis.Metric { return analysis.NewLatencyVsRank(500) }},
+		{"latency_vs_rank", func() analysis.Metric { return analysis.NewLatencyVsRank() }},
 		{"partner_latencies", func() analysis.Metric { return analysis.NewPartnerLatencies() }},
-		{"latency_vs_partner_count", func() analysis.Metric { return analysis.NewLatencyVsPartnerCount(8) }},
-		{"latency_vs_popularity", func() analysis.Metric { return analysis.NewLatencyVsPopularity(reg, 10) }},
+		{"latency_vs_partner_count", func() analysis.Metric { return analysis.NewLatencyVsPartnerCount() }},
+		{"latency_vs_popularity", func() analysis.Metric { return analysis.NewLatencyVsPopularity(reg) }},
 		{"late_bids", func() analysis.Metric { return analysis.NewLateBids() }},
-		{"late_bids_per_partner", func() analysis.Metric { return analysis.NewLateBidsPerPartner(10, 2) }},
+		{"late_bids_per_partner", func() analysis.Metric { return analysis.NewLateBidsPerPartner() }},
 		{"slots_per_site", func() analysis.Metric { return analysis.NewSlotsPerSite() }},
-		{"latency_vs_slots", func() analysis.Metric { return analysis.NewLatencyVsSlots(8) }},
-		{"slot_sizes", func() analysis.Metric { return analysis.NewSlotSizes(6) }},
+		{"latency_vs_slots", func() analysis.Metric { return analysis.NewLatencyVsSlots() }},
+		{"slot_sizes", func() analysis.Metric { return analysis.NewSlotSizes() }},
 		{"price_cdf", func() analysis.Metric { return analysis.NewPriceCDF() }},
-		{"price_per_size", func() analysis.Metric { return analysis.NewPricePerSize(3) }},
-		{"price_vs_popularity", func() analysis.Metric { return analysis.NewPriceVsPopularity(reg, 10) }},
-		{"traffic", func() analysis.Metric { return analysis.NewTraffic(1.5) }},
+		{"price_per_size", func() analysis.Metric { return analysis.NewPricePerSize() }},
+		{"price_vs_popularity", func() analysis.Metric { return analysis.NewPriceVsPopularity(reg) }},
+		{"traffic", func() analysis.Metric { return analysis.NewTraffic() }},
 		{"degradation", func() analysis.Metric { return analysis.NewDegradation() }},
 	}
 }
@@ -109,7 +109,7 @@ func TestMetricMergeRejectsForeignKind(t *testing.T) {
 // the retained slug slices, never from re-splitting the joined key — a
 // slug containing the join separator must survive intact.
 func TestPartnerCombosKeepsLiteralSlugs(t *testing.T) {
-	m := analysis.NewPartnerCombos(0)
+	m := analysis.NewPartnerCombos()
 	m.Add(&dataset.SiteRecord{Domain: "x.example", HB: true, Partners: []string{"c", "a+b"}})
 	res := m.Result()
 	if len(res) != 1 {

@@ -84,20 +84,19 @@ func (m *SlotsPerSiteMetric) Result() SlotsPerSiteResult {
 	return res
 }
 
+// maxSlotCount is Figure 20's last slot-count row; higher counts are
+// clamped into it.
+const maxSlotCount = 15
+
 // LatencyVsSlotsMetric accumulates Figure 20 incrementally: latency
 // samples per clamped auctioned-slot count over every HB record.
 type LatencyVsSlotsMetric struct {
-	maxSlots int
-	byCount  map[int][]float64
+	byCount map[int][]float64
 }
 
-// NewLatencyVsSlots returns an empty Figure-20 metric (maxSlots<=0 uses
-// 15; higher counts are clamped).
-func NewLatencyVsSlots(maxSlots int) *LatencyVsSlotsMetric {
-	if maxSlots <= 0 {
-		maxSlots = 15
-	}
-	return &LatencyVsSlotsMetric{maxSlots: maxSlots, byCount: make(map[int][]float64)}
+// NewLatencyVsSlots returns an empty Figure-20 metric.
+func NewLatencyVsSlots() *LatencyVsSlotsMetric {
+	return &LatencyVsSlotsMetric{byCount: make(map[int][]float64)}
 }
 
 // Name identifies the metric.
@@ -112,12 +111,12 @@ func (m *LatencyVsSlotsMetric) Add(r *dataset.SiteRecord) {
 	if n <= 0 || r.TotalHBLatencyMS <= 0 {
 		return
 	}
-	c := min(n, m.maxSlots)
+	c := min(n, maxSlotCount)
 	m.byCount[c] = append(m.byCount[c], r.TotalHBLatencyMS)
 }
 
-// NewShard returns a fresh empty accumulator with the same clamp.
-func (m *LatencyVsSlotsMetric) NewShard() Metric { return NewLatencyVsSlots(m.maxSlots) }
+// NewShard returns a fresh empty accumulator.
+func (m *LatencyVsSlotsMetric) NewShard() Metric { return NewLatencyVsSlots() }
 
 // Merge folds a shard in.
 func (m *LatencyVsSlotsMetric) Merge(other Metric) {
@@ -130,7 +129,7 @@ func (m *LatencyVsSlotsMetric) Snapshot() any { return m.Result() }
 // Result computes the Figure-20 rows over everything added.
 func (m *LatencyVsSlotsMetric) Result() []CountLatency {
 	var out []CountLatency
-	for n := 1; n <= m.maxSlots; n++ {
+	for n := 1; n <= maxSlotCount; n++ {
 		xs := m.byCount[n]
 		box, err := stats.BoxOf(xs)
 		if err != nil {
@@ -149,18 +148,20 @@ type SizeShare struct {
 	Share float64
 }
 
+// slotSizesK is how many slot dimensions Figure 21 lists per facet.
+const slotSizesK = 10
+
 // SlotSizesMetric accumulates Figure 21 incrementally: per-facet slot
 // dimension counts over every HB record's auctions.
 type SlotSizesMetric struct {
-	k      int
 	counts map[hb.Facet]map[hb.Size]int
 	totals map[hb.Facet]int
 }
 
-// NewSlotSizes returns an empty Figure-21 metric; k<=0 reports all.
-func NewSlotSizes(k int) *SlotSizesMetric {
+// NewSlotSizes returns an empty Figure-21 metric reporting the
+// slotSizesK most auctioned dimensions in each facet.
+func NewSlotSizes() *SlotSizesMetric {
 	m := &SlotSizesMetric{
-		k:      k,
 		counts: make(map[hb.Facet]map[hb.Size]int, 3),
 		totals: make(map[hb.Facet]int, 3),
 	}
@@ -193,8 +194,8 @@ func (m *SlotSizesMetric) Add(r *dataset.SiteRecord) {
 	}
 }
 
-// NewShard returns a fresh empty accumulator with the same k.
-func (m *SlotSizesMetric) NewShard() Metric { return NewSlotSizes(m.k) }
+// NewShard returns a fresh empty accumulator.
+func (m *SlotSizesMetric) NewShard() Metric { return NewSlotSizes() }
 
 // Merge folds a shard in.
 func (m *SlotSizesMetric) Merge(other Metric) {
@@ -226,10 +227,7 @@ func (m *SlotSizesMetric) Result() map[hb.Facet][]SizeShare {
 			}
 			return shares[i].Size.String() < shares[j].Size.String()
 		})
-		if m.k > 0 && len(shares) > m.k {
-			shares = shares[:m.k]
-		}
-		out[facet] = shares
+		out[facet] = shares[:min(len(shares), slotSizesK)]
 	}
 	return out
 }
@@ -315,17 +313,19 @@ type SizePrice struct {
 	Bids  int
 }
 
+// pricePerSizeMinBids is the fewest bids a slot dimension needs to
+// appear in Figure 23; it filters sparsely observed sizes.
+const pricePerSizeMinBids = 5
+
 // PricePerSizeMetric accumulates Figure 23 incrementally: CPM samples
 // per slot dimension.
 type PricePerSizeMetric struct {
-	minBids int
-	bySize  map[hb.Size][]float64
+	bySize map[hb.Size][]float64
 }
 
-// NewPricePerSize returns an empty Figure-23 metric; minBids filters
-// sparsely observed sizes.
-func NewPricePerSize(minBids int) *PricePerSizeMetric {
-	return &PricePerSizeMetric{minBids: minBids, bySize: make(map[hb.Size][]float64)}
+// NewPricePerSize returns an empty Figure-23 metric.
+func NewPricePerSize() *PricePerSizeMetric {
+	return &PricePerSizeMetric{bySize: make(map[hb.Size][]float64)}
 }
 
 // Name identifies the metric.
@@ -354,8 +354,8 @@ func (m *PricePerSizeMetric) Add(r *dataset.SiteRecord) {
 	}
 }
 
-// NewShard returns a fresh empty accumulator with the same filter.
-func (m *PricePerSizeMetric) NewShard() Metric { return NewPricePerSize(m.minBids) }
+// NewShard returns a fresh empty accumulator.
+func (m *PricePerSizeMetric) NewShard() Metric { return NewPricePerSize() }
 
 // Merge folds a shard in.
 func (m *PricePerSizeMetric) Merge(other Metric) {
@@ -370,7 +370,7 @@ func (m *PricePerSizeMetric) Snapshot() any { return m.Result() }
 func (m *PricePerSizeMetric) Result() []SizePrice {
 	var out []SizePrice
 	for sz, xs := range m.bySize {
-		if len(xs) < m.minBids {
+		if len(xs) < pricePerSizeMinBids {
 			continue
 		}
 		box, err := stats.BoxOf(xs)
@@ -395,13 +395,10 @@ type PriceVsPopularityMetric struct {
 	b   *stats.Binner
 }
 
-// NewPriceVsPopularity returns an empty Figure-24 metric (binWidth<=0
-// uses the paper's 10).
-func NewPriceVsPopularity(reg *partners.Registry, binWidth int) *PriceVsPopularityMetric {
-	if binWidth <= 0 {
-		binWidth = 10
-	}
-	return &PriceVsPopularityMetric{reg: reg, b: stats.NewBinner(binWidth)}
+// NewPriceVsPopularity returns an empty Figure-24 metric ranking
+// partners by reg's popularity order, in bins of popularityBinWidth.
+func NewPriceVsPopularity(reg *partners.Registry) *PriceVsPopularityMetric {
+	return &PriceVsPopularityMetric{reg: reg, b: stats.NewBinner(popularityBinWidth)}
 }
 
 // Name identifies the metric.
@@ -426,11 +423,8 @@ func (m *PriceVsPopularityMetric) Add(r *dataset.SiteRecord) {
 	}
 }
 
-// NewShard returns a fresh empty accumulator with the same registry and
-// bin width.
-func (m *PriceVsPopularityMetric) NewShard() Metric {
-	return NewPriceVsPopularity(m.reg, m.b.Width)
-}
+// NewShard returns a fresh empty accumulator with the same registry.
+func (m *PriceVsPopularityMetric) NewShard() Metric { return NewPriceVsPopularity(m.reg) }
 
 // Merge folds a shard in.
 func (m *PriceVsPopularityMetric) Merge(other Metric) {

@@ -25,11 +25,12 @@ type TrafficSummary struct {
 	// exactly why the paper finds the market consolidating there.
 	MeanByFacet map[hb.Facet]float64
 
-	// AmplificationVsWaterfall estimates the bid-request amplification:
-	// HB's per-round partner fan-out versus the waterfall's expected
-	// sequential passes for the same demand (the industry reported up to
-	// 2x volume; we compute it from the crawl).
-	AmplificationVsWaterfall float64
+	// MeanFanout is the mean number of bid requests plus hosted calls
+	// per HB visit: HB's per-round partner fan-out. Divided by the mean
+	// passes a waterfall walks for the same demand (MeanWaterfallPasses)
+	// it estimates the bid-request amplification (the industry reported
+	// up to 2x volume).
+	MeanFanout float64
 }
 
 // TrafficMetric accumulates the §7.3 overhead summary incrementally:
@@ -37,8 +38,6 @@ type TrafficSummary struct {
 // over integer request counts (exact in float64), so shard merges in any
 // order reproduce the single-pass result bit for bit.
 type TrafficMetric struct {
-	passes float64 // expected waterfall passes for the amplification ratio
-
 	bidReqs, hbRel, total []float64
 	sumByFacet            map[hb.Facet]float64
 	cntByFacet            map[hb.Facet]int
@@ -47,12 +46,8 @@ type TrafficMetric struct {
 }
 
 // NewTraffic returns an empty §7.3 overhead metric.
-// expectedWaterfallPasses is the mean number of passes a waterfall walks
-// before filling (from the paired waterfall experiment; ~1-2 in
-// practice); <=0 disables the amplification estimate.
-func NewTraffic(expectedWaterfallPasses float64) *TrafficMetric {
+func NewTraffic() *TrafficMetric {
 	return &TrafficMetric{
-		passes:     expectedWaterfallPasses,
 		sumByFacet: make(map[hb.Facet]float64),
 		cntByFacet: make(map[hb.Facet]int),
 	}
@@ -78,9 +73,8 @@ func (m *TrafficMetric) Add(r *dataset.SiteRecord) {
 	m.fanoutN++
 }
 
-// NewShard returns a fresh empty accumulator with the same passes
-// estimate.
-func (m *TrafficMetric) NewShard() Metric { return NewTraffic(m.passes) }
+// NewShard returns a fresh empty accumulator.
+func (m *TrafficMetric) NewShard() Metric { return NewTraffic() }
 
 // Merge folds a shard in.
 func (m *TrafficMetric) Merge(other Metric) {
@@ -114,8 +108,8 @@ func (m *TrafficMetric) Result() TrafficSummary {
 	for f, sum := range m.sumByFacet {
 		out.MeanByFacet[f] = sum / float64(max(1, m.cntByFacet[f]))
 	}
-	if m.passes > 0 && m.fanoutN > 0 {
-		out.AmplificationVsWaterfall = (m.fanoutSum / float64(m.fanoutN)) / m.passes
+	if m.fanoutN > 0 {
+		out.MeanFanout = m.fanoutSum / float64(m.fanoutN)
 	}
 	return out
 }

@@ -31,7 +31,7 @@ func trafficFixture() []*dataset.SiteRecord {
 }
 
 func TestTrafficSummary(t *testing.T) {
-	ts := Fold(NewTraffic(2.0), trafficFixture()).Result()
+	ts := Fold(NewTraffic(), trafficFixture()).Result()
 	if ts.Sites != 2 {
 		t.Fatalf("sites = %d", ts.Sites)
 	}
@@ -45,20 +45,16 @@ func TestTrafficSummary(t *testing.T) {
 	if ts.MeanByFacet[hb.FacetClient] != 14 || ts.MeanByFacet[hb.FacetServer] != 6 {
 		t.Fatalf("per-facet = %v", ts.MeanByFacet)
 	}
-	// Fan-out per round: (5+1)/2 = 3 requests; waterfall walks 2 passes.
-	if math.Abs(ts.AmplificationVsWaterfall-1.5) > 1e-9 {
-		t.Fatalf("amplification = %v", ts.AmplificationVsWaterfall)
+	// Fan-out per round: bid requests plus hosted calls, (5+1)/2 = 3.
+	if math.Abs(ts.MeanFanout-3) > 1e-9 {
+		t.Fatalf("mean fan-out = %v", ts.MeanFanout)
 	}
 }
 
 func TestTrafficEmptyAndNoBaseline(t *testing.T) {
-	ts := Fold(NewTraffic(2), nil).Result()
-	if ts.Sites != 0 || ts.AmplificationVsWaterfall != 0 {
+	ts := Fold(NewTraffic(), nil).Result()
+	if ts.Sites != 0 || ts.MeanFanout != 0 {
 		t.Fatalf("empty summary = %+v", ts)
-	}
-	ts2 := Fold(NewTraffic(0), trafficFixture()).Result()
-	if ts2.AmplificationVsWaterfall != 0 {
-		t.Fatal("no baseline should yield zero amplification")
 	}
 }
 

@@ -1,27 +1,15 @@
-// Package clock provides time sources and a deterministic discrete-event
-// scheduler. The scheduler is the heart of the simulated-network
-// environment: it models a single-threaded JavaScript-style event loop in
-// virtual time, so a crawl of tens of thousands of pages finishes in
-// milliseconds of wall time while preserving the ordering and timing
-// semantics of the real protocol.
+// Package clock provides a deterministic discrete-event scheduler. The
+// scheduler is the heart of the simulated-network environment: it models
+// a single-threaded JavaScript-style event loop in virtual time, so a
+// crawl of tens of thousands of pages finishes in milliseconds of wall
+// time while preserving the ordering and timing semantics of the real
+// protocol.
 package clock
 
 import (
 	"fmt"
 	"time"
 )
-
-// Clock is a source of time. Production code uses Wall; simulations use a
-// Scheduler, whose Now advances only when events run.
-type Clock interface {
-	Now() time.Time
-}
-
-// Wall is a Clock backed by the system clock.
-type Wall struct{}
-
-// Now returns the current wall-clock time.
-func (Wall) Now() time.Time { return time.Now() }
 
 // Epoch is the virtual time origin used by simulations. The particular
 // date is arbitrary but fixed so runs are reproducible; it corresponds to
@@ -45,11 +33,11 @@ type event struct {
 }
 
 // Scheduler is a deterministic discrete-event executor with a virtual
-// clock. It is strictly single-threaded: callbacks scheduled with At or
-// After run, in timestamp order, from within Run. This mirrors the
-// single-threaded JS event loop that the paper identifies as a source of
-// HB latency (Section 7.2): even "parallel" asynchronous work serializes
-// through one executor.
+// clock. It is strictly single-threaded: callbacks scheduled with After
+// or AfterCall run, in timestamp order, from within Run or RunUntil.
+// This mirrors the single-threaded JS event loop that the paper
+// identifies as a source of HB latency (Section 7.2): even "parallel"
+// asynchronous work serializes through one executor.
 //
 // The queue is a binary min-heap of event values on one backing slice:
 // scheduling an event is an append plus a sift-up, with no per-event
@@ -64,9 +52,7 @@ type Scheduler struct {
 	seq     uint64
 	queue   []event
 	running bool
-	stopped bool
 	steps   uint64
-	maxStep uint64
 }
 
 // NewScheduler returns a scheduler whose clock starts at start. If start
@@ -106,8 +92,6 @@ func (s *Scheduler) Reset(start time.Time) {
 	s.nowKey = start.UnixNano()
 	s.seq = 0
 	s.steps = 0
-	s.maxStep = 0
-	s.stopped = false
 }
 
 // Now returns the current virtual time.
@@ -188,44 +172,27 @@ func (s *Scheduler) schedule(t time.Time, fn func(), afn func(any), arg any) {
 	s.push(event{key: key, seq: s.seq, fn: fn, afn: afn, arg: arg})
 }
 
-// At schedules fn to run at the given virtual time. Times in the past are
-// clamped to the present (the callback runs on the next Run step).
-func (s *Scheduler) At(t time.Time, fn func()) {
-	if fn == nil {
-		//hbvet:allow recoverscope API-misuse precondition: a nil callback is a caller bug, not visit data
-		panic("clock: At called with nil callback")
-	}
-	s.schedule(t, fn, nil, nil)
-}
-
-// AtCall schedules fn(arg) to run at the given virtual time (same
-// clamping as At). It exists so state machines that already own a state
-// struct can schedule steps without allocating a closure per step: the
-// caller passes a package-level func plus its receiver.
-func (s *Scheduler) AtCall(t time.Time, fn func(any), arg any) {
-	if fn == nil {
-		//hbvet:allow recoverscope API-misuse precondition: a nil callback is a caller bug, not visit data
-		panic("clock: AtCall called with nil callback")
-	}
-	s.schedule(t, nil, fn, arg)
-}
-
 // After schedules fn to run d from the current virtual time. Negative
-// durations are treated as zero.
+// durations are treated as zero (the callback runs on the next Run step).
 func (s *Scheduler) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
+	if fn == nil {
+		//hbvet:allow recoverscope API-misuse precondition: a nil callback is a caller bug, not visit data
+		panic("clock: After called with nil callback")
 	}
-	s.At(s.Now().Add(d), fn)
+	s.schedule(s.Now().Add(d), fn, nil, nil)
 }
 
 // AfterCall schedules fn(arg) to run d from the current virtual time
-// (the closure-free counterpart of After; see AtCall).
+// (same clamping as After). It is the closure-free counterpart of After:
+// state machines that already own a state struct schedule steps without
+// allocating a closure per step, passing a package-level func plus its
+// receiver.
 func (s *Scheduler) AfterCall(d time.Duration, fn func(any), arg any) {
-	if d < 0 {
-		d = 0
+	if fn == nil {
+		//hbvet:allow recoverscope API-misuse precondition: a nil callback is a caller bug, not visit data
+		panic("clock: AfterCall called with nil callback")
 	}
-	s.AtCall(s.Now().Add(d), fn, arg)
+	s.schedule(s.Now().Add(d), nil, fn, arg)
 }
 
 // Post schedules fn to run as soon as possible, after events already due.
@@ -233,17 +200,6 @@ func (s *Scheduler) Post(fn func()) { s.After(0, fn) }
 
 // Pending reports the number of events waiting to run.
 func (s *Scheduler) Pending() int { return len(s.queue) }
-
-// SetStepLimit bounds the number of callbacks Run may execute; 0 means no
-// limit. It guards against runaway feedback loops in simulations.
-func (s *Scheduler) SetStepLimit(n uint64) { s.maxStep = n }
-
-// Steps reports how many callbacks have been executed so far.
-func (s *Scheduler) Steps() uint64 { return s.steps }
-
-// Stop makes Run return after the currently executing callback. Pending
-// events remain queued.
-func (s *Scheduler) Stop() { s.stopped = true }
 
 // advanceTo moves the clock forward to the event's timestamp.
 func (s *Scheduler) advanceTo(key int64) {
@@ -262,23 +218,18 @@ func (ev *event) run() {
 	ev.afn(ev.arg)
 }
 
-// Run executes queued events in order until the queue drains, Stop is
-// called, or the step limit is reached. It returns the number of events
-// executed during this call.
+// Run executes queued events in order until the queue drains. It returns
+// the number of events executed during this call.
 func (s *Scheduler) Run() int {
 	if s.running {
 		//hbvet:allow recoverscope API-misuse precondition: reentrant Run is a harness bug, not visit data
 		panic("clock: Run called reentrantly")
 	}
 	s.running = true
-	s.stopped = false
 	defer func() { s.running = false }()
 
 	executed := 0
-	for len(s.queue) > 0 && !s.stopped {
-		if s.maxStep > 0 && s.steps >= s.maxStep {
-			break
-		}
+	for len(s.queue) > 0 {
 		ev := s.pop()
 		s.advanceTo(ev.key)
 		s.steps++
@@ -297,15 +248,11 @@ func (s *Scheduler) RunUntil(deadline time.Time) int {
 		panic("clock: RunUntil called reentrantly")
 	}
 	s.running = true
-	s.stopped = false
 	defer func() { s.running = false }()
 
 	deadlineKey := deadline.UnixNano()
 	executed := 0
-	for len(s.queue) > 0 && !s.stopped {
-		if s.maxStep > 0 && s.steps >= s.maxStep {
-			break
-		}
+	for len(s.queue) > 0 {
 		if s.queue[0].key > deadlineKey {
 			break
 		}
@@ -320,11 +267,6 @@ func (s *Scheduler) RunUntil(deadline time.Time) int {
 		s.nowKey = deadlineKey
 	}
 	return executed
-}
-
-// RunFor is RunUntil(now + d).
-func (s *Scheduler) RunFor(d time.Duration) int {
-	return s.RunUntil(s.Now().Add(d))
 }
 
 // String describes the scheduler state, useful in test failures.

@@ -4,14 +4,11 @@
 // policy (60s page-load timeout, then five extra seconds for pending
 // responses), and emits one dataset record per visit.
 //
-// Two execution strategies exist:
-//
-//   - Simulated (virtual clock): each site gets its own scheduler and
-//     simulated network, so visits are deterministic and embarrassingly
-//     parallel across worker goroutines — the full 35k crawl runs in
-//     seconds.
-//   - Live (real HTTP): the same visit logic over package livenet, used
-//     by integration tests and the live examples.
+// Every visit is simulated on a virtual clock: each site gets its own
+// scheduler and simulated network, so visits are deterministic and
+// embarrassingly parallel across worker goroutines — the full 35k crawl
+// runs in seconds. (Package livenet serves the same ecosystem over real
+// HTTP for single-page captures; it does not go through this package.)
 //
 // The one entry point is CrawlStreamSharded: it pushes each completed
 // visit to a caller-supplied emit function in deterministic crawl order

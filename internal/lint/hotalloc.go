@@ -20,7 +20,7 @@ import (
 //     carry //hbvet:allow hotalloc annotations saying so.
 //   - no capturing closures inside loops: a func literal that captures
 //     variables allocates on every iteration. Hoist it, use the
-//     closure-free scheduler capabilities (clock.AtCall/AfterCall), or
+//     closure-free scheduler capabilities (clock.AfterCall), or
 //     annotate the one-time setup loops.
 //   - no encoding/json Marshal/Unmarshal: reflection-based encoding of
 //     the fixed OpenRTB shapes costs dozens of allocations per bid

@@ -19,7 +19,7 @@ import (
 // batch report (pinned by the golden test) regardless of worker count.
 //
 // The section parameters (top-k cutoffs, bin widths, sample floors) are
-// fixed to the ones the paper's figures use.
+// constants of each analysis metric, fixed to the paper's figures.
 type Figures struct {
 	reg *partners.Registry
 
@@ -62,24 +62,24 @@ func NewFigures(reg *partners.Registry) *Figures {
 		summary:       analysis.NewSummary(),
 		adoption:      analysis.NewAdoptionByRankBand(),
 		facets:        analysis.NewFacetBreakdown(),
-		topPartners:   analysis.NewTopPartners(12),
+		topPartners:   analysis.NewTopPartners(),
 		perSite:       analysis.NewPartnersPerSite(),
-		combos:        analysis.NewPartnerCombos(15),
-		perFacet:      analysis.NewPartnersPerFacet(10),
+		combos:        analysis.NewPartnerCombos(),
+		perFacet:      analysis.NewPartnersPerFacet(),
 		latency:       analysis.NewLatencyAccumulator(),
-		latVsRank:     analysis.NewLatencyVsRank(500),
+		latVsRank:     analysis.NewLatencyVsRank(),
 		partnerLat:    analysis.NewPartnerLatencies(),
-		latVsPartners: analysis.NewLatencyVsPartnerCount(15),
-		latVsPop:      analysis.NewLatencyVsPopularity(reg, 10),
+		latVsPartners: analysis.NewLatencyVsPartnerCount(),
+		latVsPop:      analysis.NewLatencyVsPopularity(reg),
 		lateBids:      analysis.NewLateBids(),
-		latePerPart:   analysis.NewLateBidsPerPartner(25, 3),
+		latePerPart:   analysis.NewLateBidsPerPartner(),
 		slotsPerSite:  analysis.NewSlotsPerSite(),
-		latVsSlots:    analysis.NewLatencyVsSlots(15),
-		slotSizes:     analysis.NewSlotSizes(10),
+		latVsSlots:    analysis.NewLatencyVsSlots(),
+		slotSizes:     analysis.NewSlotSizes(),
 		priceCDF:      analysis.NewPriceCDF(),
-		pricePerSize:  analysis.NewPricePerSize(5),
-		priceVsPop:    analysis.NewPriceVsPopularity(reg, 10),
-		traffic:       analysis.NewTraffic(0),
+		pricePerSize:  analysis.NewPricePerSize(),
+		priceVsPop:    analysis.NewPriceVsPopularity(reg),
+		traffic:       analysis.NewTraffic(),
 	}
 	f.all = []analysis.Metric{
 		f.summary, f.adoption, f.facets, f.topPartners, f.perSite,

@@ -251,9 +251,6 @@ func (r *Writer) Traffic(t analysis.TrafficSummary) {
 			r.printf("mean HB-related requests, %-16s %.1f\n", f.String()+":", v)
 		}
 	}
-	if t.AmplificationVsWaterfall > 0 {
-		r.printf("bid-request amplification vs waterfall: %.2fx\n", t.AmplificationVsWaterfall)
-	}
 }
 
 // Comparison renders the HB vs waterfall experiment.

@@ -13,63 +13,64 @@ import (
 // wire format. See analysis.Codec for the full contract.
 type Codec = analysis.Codec
 
-// builders maps every stable metric name to a constructor producing an
-// empty accumulator ready for DecodeState. Constructor arguments are
-// placeholders only — configuration parameters (top-k cutoffs, bin
-// widths, sample floors) travel inside the encoded state and overwrite
-// them on decode. Registry-backed metrics get partners.Default(), the
-// one registry the figure pipeline uses.
+// prototypes holds one empty instance of every metric a shard file may
+// carry, keyed by its own Name(). New builds each fresh accumulator with
+// the prototype's NewShard, so the registry repeats neither names nor
+// constructors. Registry-backed metrics get partners.Default(), the one
+// registry the figure pipeline uses.
 //
 // A name, once shipped in a shard file, is part of the snapshot format:
 // renaming or removing one is a format change and must bump
 // FormatVersion.
-var builders = map[string]func() Codec{
-	"summary":                  func() Codec { return analysis.NewSummary() },
-	"adoption_by_rank_band":    func() Codec { return analysis.NewAdoptionByRankBand() },
-	"facet_breakdown":          func() Codec { return analysis.NewFacetBreakdown() },
-	"top_partners":             func() Codec { return analysis.NewTopPartners(12) },
-	"unique_partners":          func() Codec { return analysis.NewUniquePartners() },
-	"partners_per_site":        func() Codec { return analysis.NewPartnersPerSite() },
-	"partner_combos":           func() Codec { return analysis.NewPartnerCombos(15) },
-	"partners_per_facet":       func() Codec { return analysis.NewPartnersPerFacet(10) },
-	"latency_cdf":              func() Codec { return analysis.NewLatencyAccumulator() },
-	"latency_vs_rank":          func() Codec { return analysis.NewLatencyVsRank(500) },
-	"partner_latencies":        func() Codec { return analysis.NewPartnerLatencies() },
-	"latency_vs_partner_count": func() Codec { return analysis.NewLatencyVsPartnerCount(15) },
-	"latency_vs_popularity":    func() Codec { return analysis.NewLatencyVsPopularity(partners.Default(), 10) },
-	"late_bids":                func() Codec { return analysis.NewLateBids() },
-	"late_bids_per_partner":    func() Codec { return analysis.NewLateBidsPerPartner(25, 3) },
-	"slots_per_site":           func() Codec { return analysis.NewSlotsPerSite() },
-	"latency_vs_slots":         func() Codec { return analysis.NewLatencyVsSlots(15) },
-	"slot_sizes":               func() Codec { return analysis.NewSlotSizes(10) },
-	"price_cdf":                func() Codec { return analysis.NewPriceCDF() },
-	"price_per_size":           func() Codec { return analysis.NewPricePerSize(5) },
-	"price_vs_popularity":      func() Codec { return analysis.NewPriceVsPopularity(partners.Default(), 10) },
-	"traffic":                  func() Codec { return analysis.NewTraffic(0) },
-	"degradation":              func() Codec { return analysis.NewDegradation() },
-	"figure_report":            func() Codec { return report.NewFigures(partners.Default()) },
+var prototypes = byName(
+	analysis.NewSummary(),
+	analysis.NewAdoptionByRankBand(),
+	analysis.NewFacetBreakdown(),
+	analysis.NewTopPartners(),
+	analysis.NewUniquePartners(),
+	analysis.NewPartnersPerSite(),
+	analysis.NewPartnerCombos(),
+	analysis.NewPartnersPerFacet(),
+	analysis.NewLatencyAccumulator(),
+	analysis.NewLatencyVsRank(),
+	analysis.NewPartnerLatencies(),
+	analysis.NewLatencyVsPartnerCount(),
+	analysis.NewLatencyVsPopularity(partners.Default()),
+	analysis.NewLateBids(),
+	analysis.NewLateBidsPerPartner(),
+	analysis.NewSlotsPerSite(),
+	analysis.NewLatencyVsSlots(),
+	analysis.NewSlotSizes(),
+	analysis.NewPriceCDF(),
+	analysis.NewPricePerSize(),
+	analysis.NewPriceVsPopularity(partners.Default()),
+	analysis.NewTraffic(),
+	analysis.NewDegradation(),
+	report.NewFigures(partners.Default()),
+)
+
+func byName(ms ...Codec) map[string]Codec {
+	out := make(map[string]Codec, len(ms))
+	for _, m := range ms {
+		out[m.Name()] = m
+	}
+	return out
 }
 
 // New returns an empty accumulator for a registered metric name, ready
 // for DecodeState, or false for a name this build does not know.
 func New(name string) (Codec, bool) {
-	b, ok := builders[name]
+	p, ok := prototypes[name]
 	if !ok {
 		return nil, false
 	}
-	return b(), true
-}
-
-// Registered reports whether name is a known snapshot metric.
-func Registered(name string) bool {
-	_, ok := builders[name]
-	return ok
+	return p.NewShard().(Codec), true
 }
 
 // Names returns every registered metric name in sorted order.
 func Names() []string {
-	out := make([]string, 0, len(builders))
-	for n := range builders {
+	out := make([]string, 0, len(prototypes))
+	for n := range prototypes {
 		out = append(out, n)
 	}
 	sort.Strings(out)

@@ -24,25 +24,25 @@ var facadeConstructors = map[string]snapshot.Codec{
 	"NewSummaryMetric":         analysis.NewSummary(),
 	"NewAdoptionByRankBand":    analysis.NewAdoptionByRankBand(),
 	"NewFacetBreakdown":        analysis.NewFacetBreakdown(),
-	"NewTopPartners":           analysis.NewTopPartners(12),
+	"NewTopPartners":           analysis.NewTopPartners(),
 	"NewUniquePartners":        analysis.NewUniquePartners(),
 	"NewPartnersPerSite":       analysis.NewPartnersPerSite(),
-	"NewPartnerCombos":         analysis.NewPartnerCombos(15),
-	"NewPartnersPerFacet":      analysis.NewPartnersPerFacet(10),
+	"NewPartnerCombos":         analysis.NewPartnerCombos(),
+	"NewPartnersPerFacet":      analysis.NewPartnersPerFacet(),
 	"NewLatencyAccumulator":    analysis.NewLatencyAccumulator(),
-	"NewLatencyVsRank":         analysis.NewLatencyVsRank(500),
+	"NewLatencyVsRank":         analysis.NewLatencyVsRank(),
 	"NewPartnerLatencies":      analysis.NewPartnerLatencies(),
-	"NewLatencyVsPartnerCount": analysis.NewLatencyVsPartnerCount(15),
-	"NewLatencyVsPopularity":   analysis.NewLatencyVsPopularity(partners.Default(), 10),
+	"NewLatencyVsPartnerCount": analysis.NewLatencyVsPartnerCount(),
+	"NewLatencyVsPopularity":   analysis.NewLatencyVsPopularity(partners.Default()),
 	"NewLateBids":              analysis.NewLateBids(),
-	"NewLateBidsPerPartner":    analysis.NewLateBidsPerPartner(25, 3),
+	"NewLateBidsPerPartner":    analysis.NewLateBidsPerPartner(),
 	"NewSlotsPerSite":          analysis.NewSlotsPerSite(),
-	"NewLatencyVsSlots":        analysis.NewLatencyVsSlots(15),
-	"NewSlotSizes":             analysis.NewSlotSizes(10),
+	"NewLatencyVsSlots":        analysis.NewLatencyVsSlots(),
+	"NewSlotSizes":             analysis.NewSlotSizes(),
 	"NewPriceCDF":              analysis.NewPriceCDF(),
-	"NewPricePerSize":          analysis.NewPricePerSize(5),
-	"NewPriceVsPopularity":     analysis.NewPriceVsPopularity(partners.Default(), 10),
-	"NewTraffic":               analysis.NewTraffic(0),
+	"NewPricePerSize":          analysis.NewPricePerSize(),
+	"NewPriceVsPopularity":     analysis.NewPriceVsPopularity(partners.Default()),
+	"NewTraffic":               analysis.NewTraffic(),
 	"NewDegradation":           analysis.NewDegradation(),
 	"NewFigureReport":          report.NewFigures(partners.Default()),
 }

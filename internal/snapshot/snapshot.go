@@ -36,8 +36,11 @@ import (
 
 // FormatVersion is the shard-file format this build reads and writes.
 // Bump it for any wire-visible change: a metric codec layout, the
-// registry name set, or the section framing.
-const FormatVersion = 1
+// registry name set, or the section framing. Format 2 dropped the
+// figure parameters (top-k cutoffs, bin widths, sample floors, the
+// traffic metric's waterfall passes) that format 1 wrote into metric
+// payloads; they are constants of each metric now.
+const FormatVersion = 2
 
 const magic = "HBSHARD\n"
 
@@ -151,8 +154,8 @@ func UnmarshalShard(rd io.Reader) (Header, []Codec, error) {
 	if err := r.Err(); err != nil {
 		return h, nil, err
 	}
-	if nMetrics > len(builders) {
-		return h, nil, fmt.Errorf("snapshot: %d sections, more than the %d registered metrics", nMetrics, len(builders))
+	if nMetrics > len(prototypes) {
+		return h, nil, fmt.Errorf("snapshot: %d sections, more than the %d registered metrics", nMetrics, len(prototypes))
 	}
 	metrics := make([]Codec, 0, nMetrics)
 	prev := ""
@@ -166,20 +169,31 @@ func UnmarshalShard(rd io.Reader) (Header, []Codec, error) {
 			return h, nil, fmt.Errorf("snapshot: sections not sorted by name at %q", name)
 		}
 		prev = name
-		m, ok := New(name)
-		if !ok {
-			return h, nil, fmt.Errorf("snapshot: unknown metric %q — written by a newer build?", name)
-		}
-		pr := wire.NewReader(bytes.NewReader(payload))
-		if err := m.DecodeState(pr); err != nil {
-			return h, nil, fmt.Errorf("snapshot: decode %q: %w", name, err)
-		}
-		if err := pr.Close(); err != nil {
-			return h, nil, fmt.Errorf("snapshot: decode %q: %w", name, err)
+		m, err := decodeSection(name, payload)
+		if err != nil {
+			return h, nil, err
 		}
 		metrics = append(metrics, m)
 	}
 	return h, metrics, nil
+}
+
+// decodeSection instantiates the named metric from the registry and
+// decodes one section payload into it, which must consume the payload
+// exactly.
+func decodeSection(name string, payload []byte) (Codec, error) {
+	m, ok := New(name)
+	if !ok {
+		return nil, fmt.Errorf("snapshot: unknown metric %q — written by a newer build?", name)
+	}
+	pr := wire.NewReader(bytes.NewReader(payload))
+	if err := m.DecodeState(pr); err != nil {
+		return nil, fmt.Errorf("snapshot: decode %q: %w", name, err)
+	}
+	if err := pr.Close(); err != nil {
+		return nil, fmt.Errorf("snapshot: decode %q: %w", name, err)
+	}
+	return m, nil
 }
 
 // WriteShardFile marshals to path ("-" means stdout).

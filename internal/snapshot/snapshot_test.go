@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"headerbid/internal/crawler"
@@ -168,8 +169,8 @@ func TestShardFileRoundTrip(t *testing.T) {
 }
 
 // TestUnmarshalRefusals: the reader refuses wrong magic, unknown format
-// versions, unknown metric names, and truncated files — never returning
-// a silently partial result.
+// versions (the older format 1 included), unknown metric names, and
+// truncated files — never returning a silently partial result.
 func TestUnmarshalRefusals(t *testing.T) {
 	m, _ := snapshot.New("summary")
 	file := shardFileBytes(t, snapshot.Header{Seed: 1, ShardCount: 1, Shards: []int{0}}, []snapshot.Codec{m})
@@ -183,6 +184,14 @@ func TestUnmarshalRefusals(t *testing.T) {
 	bumped[8] = snapshot.FormatVersion + 1
 	if _, _, err := snapshot.UnmarshalShard(bytes.NewReader(bumped)); err == nil {
 		t.Error("future format version accepted")
+	}
+	// Format-1 payloads carried figure parameters this build no longer
+	// reads; such a file must die at the version check, not mid-section.
+	old := append([]byte(nil), file...)
+	old[8] = 1
+	if _, _, err := snapshot.UnmarshalShard(bytes.NewReader(old)); err == nil ||
+		!strings.Contains(err.Error(), "format version 1,") {
+		t.Errorf("format-1 file: err = %v, want the version error", err)
 	}
 
 	for cut := 0; cut < len(file); cut++ {

@@ -6,12 +6,12 @@ import (
 	"headerbid/internal/wire"
 )
 
-// EncodeState serializes the binner for the snapshot codec: width, then
-// every bin in ascending index order with its samples in append order.
-// Sorted keys make the bytes a pure function of the accumulated state,
-// so encode(decode(encode(b))) == encode(b).
+// EncodeState serializes the binner for the snapshot codec: every bin in
+// ascending index order with its samples in append order. The width is
+// not state; the constructor sets it. Sorted keys make the bytes a pure
+// function of the accumulated state, so
+// encode(decode(encode(b))) == encode(b).
 func (b *Binner) EncodeState(w *wire.Writer) {
-	w.Int(b.Width)
 	idxs := make([]int, 0, len(b.bins))
 	for i := range b.bins {
 		idxs = append(idxs, i)
@@ -24,19 +24,12 @@ func (b *Binner) EncodeState(w *wire.Writer) {
 	}
 }
 
-// DecodeState replaces the binner's state with a serialized one.
+// DecodeState replaces the binner's bins with serialized ones, keeping
+// its width.
 func (b *Binner) DecodeState(r *wire.Reader) error {
-	width := r.Int()
 	n := r.Len()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if width < 1 {
-		return wire.ErrCorrupt
-	}
-	b.Width = width
 	b.bins = make(map[int][]float64, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		idx := r.Int()
 		b.bins[idx] = r.Float64s()
 	}

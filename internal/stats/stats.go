@@ -148,21 +148,6 @@ func Mean(samples []float64) float64 {
 	return sum / float64(len(samples))
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(samples []float64) float64 {
-	n := len(samples)
-	if n == 0 {
-		return math.NaN()
-	}
-	m := Mean(samples)
-	var ss float64
-	for _, x := range samples {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Box is a five-number whisker summary matching the paper's plot
 // convention: whiskers at p5/p95, box at p25/p75, red line at the median.
 type Box struct {
@@ -192,9 +177,6 @@ func BoxOf(samples []float64) (Box, error) {
 		Mean:   Mean(xs),
 	}, nil
 }
-
-// IQR returns the interquartile range of the box.
-func (b Box) IQR() float64 { return b.P75 - b.P25 }
 
 // WhiskerSpan returns the p5-p95 span, the "variability" measure used when
 // the paper says popular partners have latencies with smaller variability.

@@ -74,8 +74,9 @@ func NewAdoptionByRankBand() *AdoptionByRankBandMetric { return analysis.NewAdop
 // NewFacetBreakdown returns an empty §4.6 facet-share metric.
 func NewFacetBreakdown() *FacetBreakdownMetric { return analysis.NewFacetBreakdown() }
 
-// NewTopPartners returns an empty Figure-8 metric; k<=0 reports all.
-func NewTopPartners(k int) *TopPartnersMetric { return analysis.NewTopPartners(k) }
+// NewTopPartners returns an empty Figure-8 metric (the 12 partners on
+// the most HB sites).
+func NewTopPartners() *TopPartnersMetric { return analysis.NewTopPartners() }
 
 // NewUniquePartners returns an empty distinct-partner counter.
 func NewUniquePartners() *UniquePartnersMetric { return analysis.NewUniquePartners() }
@@ -83,73 +84,71 @@ func NewUniquePartners() *UniquePartnersMetric { return analysis.NewUniquePartne
 // NewPartnersPerSite returns an empty Figure-9 metric.
 func NewPartnersPerSite() *PartnersPerSiteMetric { return analysis.NewPartnersPerSite() }
 
-// NewPartnerCombos returns an empty Figure-10 metric; k<=0 reports all.
-func NewPartnerCombos(k int) *PartnerCombosMetric { return analysis.NewPartnerCombos(k) }
+// NewPartnerCombos returns an empty Figure-10 metric (the 15 most common
+// partner combinations).
+func NewPartnerCombos() *PartnerCombosMetric { return analysis.NewPartnerCombos() }
 
-// NewPartnersPerFacet returns an empty Figure-11 metric; k<=0 reports all.
-func NewPartnersPerFacet(k int) *PartnersPerFacetMetric { return analysis.NewPartnersPerFacet(k) }
+// NewPartnersPerFacet returns an empty Figure-11 metric (the 10 partners
+// with the most bids per facet).
+func NewPartnersPerFacet() *PartnersPerFacetMetric { return analysis.NewPartnersPerFacet() }
 
 // NewLatencyAccumulator returns an empty Figure-12 latency CDF metric.
 func NewLatencyAccumulator() *LatencyAccumulator { return analysis.NewLatencyAccumulator() }
 
-// NewLatencyVsRank returns an empty Figure-13 metric (binWidth<=0 uses
-// the paper's 500).
-func NewLatencyVsRank(binWidth int) *LatencyVsRankMetric { return analysis.NewLatencyVsRank(binWidth) }
+// NewLatencyVsRank returns an empty Figure-13 metric (site-rank bins of
+// 500).
+func NewLatencyVsRank() *LatencyVsRankMetric { return analysis.NewLatencyVsRank() }
 
 // NewPartnerLatencies returns an empty per-partner latency metric
 // (Figures 14 and 16 raw material).
 func NewPartnerLatencies() *PartnerLatenciesMetric { return analysis.NewPartnerLatencies() }
 
-// NewLatencyVsPartnerCount returns an empty Figure-15 metric
-// (maxPartners<=0 uses the paper's 15).
-func NewLatencyVsPartnerCount(maxPartners int) *LatencyVsPartnerCountMetric {
-	return analysis.NewLatencyVsPartnerCount(maxPartners)
+// NewLatencyVsPartnerCount returns an empty Figure-15 metric (partner
+// counts above 15 are clamped to 15).
+func NewLatencyVsPartnerCount() *LatencyVsPartnerCountMetric {
+	return analysis.NewLatencyVsPartnerCount()
 }
 
 // NewLatencyVsPopularity returns an empty Figure-16 metric over reg
-// (binWidth<=0 uses the paper's 10).
-func NewLatencyVsPopularity(reg *Registry, binWidth int) *LatencyVsPopularityMetric {
-	return analysis.NewLatencyVsPopularity(reg, binWidth)
+// (popularity-rank bins of 10).
+func NewLatencyVsPopularity(reg *Registry) *LatencyVsPopularityMetric {
+	return analysis.NewLatencyVsPopularity(reg)
 }
 
 // NewLateBids returns an empty Figure-17 metric.
 func NewLateBids() *LateBidsMetric { return analysis.NewLateBids() }
 
-// NewLateBidsPerPartner returns an empty Figure-18 metric; minBids
-// filters noise; k<=0 reports all.
-func NewLateBidsPerPartner(k, minBids int) *LateBidsPerPartnerMetric {
-	return analysis.NewLateBidsPerPartner(k, minBids)
-}
+// NewLateBidsPerPartner returns an empty Figure-18 metric (the 25
+// partners with the highest late-bid share, among those with at least 3
+// client-side bids).
+func NewLateBidsPerPartner() *LateBidsPerPartnerMetric { return analysis.NewLateBidsPerPartner() }
 
 // NewSlotsPerSite returns an empty Figure-19 metric.
 func NewSlotsPerSite() *SlotsPerSiteMetric { return analysis.NewSlotsPerSite() }
 
-// NewLatencyVsSlots returns an empty Figure-20 metric (maxSlots<=0 uses 15).
-func NewLatencyVsSlots(maxSlots int) *LatencyVsSlotsMetric {
-	return analysis.NewLatencyVsSlots(maxSlots)
-}
+// NewLatencyVsSlots returns an empty Figure-20 metric (slot counts above
+// 15 are clamped to 15).
+func NewLatencyVsSlots() *LatencyVsSlotsMetric { return analysis.NewLatencyVsSlots() }
 
-// NewSlotSizes returns an empty Figure-21 metric; k<=0 reports all.
-func NewSlotSizes(k int) *SlotSizesMetric { return analysis.NewSlotSizes(k) }
+// NewSlotSizes returns an empty Figure-21 metric (the 10 most auctioned
+// slot dimensions per facet).
+func NewSlotSizes() *SlotSizesMetric { return analysis.NewSlotSizes() }
 
 // NewPriceCDF returns an empty Figure-22 metric.
 func NewPriceCDF() *PriceCDFMetric { return analysis.NewPriceCDF() }
 
-// NewPricePerSize returns an empty Figure-23 metric; minBids filters
-// sparsely observed sizes.
-func NewPricePerSize(minBids int) *PricePerSizeMetric { return analysis.NewPricePerSize(minBids) }
+// NewPricePerSize returns an empty Figure-23 metric (slot dimensions
+// with fewer than 5 bids are left out).
+func NewPricePerSize() *PricePerSizeMetric { return analysis.NewPricePerSize() }
 
 // NewPriceVsPopularity returns an empty Figure-24 metric over reg
-// (binWidth<=0 uses the paper's 10).
-func NewPriceVsPopularity(reg *Registry, binWidth int) *PriceVsPopularityMetric {
-	return analysis.NewPriceVsPopularity(reg, binWidth)
+// (popularity-rank bins of 10).
+func NewPriceVsPopularity(reg *Registry) *PriceVsPopularityMetric {
+	return analysis.NewPriceVsPopularity(reg)
 }
 
-// NewTraffic returns an empty §7.3 overhead metric;
-// expectedWaterfallPasses <=0 disables the amplification estimate.
-func NewTraffic(expectedWaterfallPasses float64) *TrafficMetric {
-	return analysis.NewTraffic(expectedWaterfallPasses)
-}
+// NewTraffic returns an empty §7.3 overhead metric.
+func NewTraffic() *TrafficMetric { return analysis.NewTraffic() }
 
 // NewDegradation returns an empty failure-degradation metric.
 func NewDegradation() *DegradationMetric { return analysis.NewDegradation() }

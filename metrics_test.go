@@ -70,8 +70,8 @@ func TestFigureReportByteIdenticalAcrossWorkers(t *testing.T) {
 func TestWithMetricsMatchesMetricSink(t *testing.T) {
 	w := metricsTestWorld(t)
 
-	sharded := analysis.NewTopPartners(10)
-	ordered := analysis.NewTopPartners(10)
+	sharded := analysis.NewTopPartners()
+	ordered := analysis.NewTopPartners()
 	sink := NewMetricSink(ordered)
 	_, err := NewExperiment(
 		WithWorld(w), WithSeed(5),
@@ -93,7 +93,7 @@ func TestWithMetricsMatchesMetricSink(t *testing.T) {
 func TestResultsMetricsBag(t *testing.T) {
 	w := metricsTestWorld(t)
 
-	top := analysis.NewTopPartners(5)
+	top := analysis.NewTopPartners()
 	late := analysis.NewLateBids()
 	res, err := NewExperiment(
 		WithWorld(w), WithSeed(5),

@@ -217,15 +217,7 @@ func (s *VariantJSONLSink) Close() error {
 //	).Run(ctx)
 //	cmp.Render(os.Stdout)
 type Sweep struct {
-	world    *World
-	worldCfg *WorldConfig
-	sites    int
-	seed     int64
-	seedSet  bool
-
-	crawlCfg    *CrawlConfig
-	days        int
-	workers     int
+	runConfig
 	concurrency int
 
 	axes    []Axis
@@ -308,7 +300,7 @@ func WithVariantMetrics(factory func() []Metric) SweepOption {
 
 // NewSweep assembles a counterfactual sweep from options.
 func NewSweep(opts ...SweepOption) *Sweep {
-	s := &Sweep{seed: 1}
+	s := &Sweep{runConfig: runConfig{seed: 1}}
 	for _, o := range opts {
 		o(s)
 	}
@@ -320,40 +312,7 @@ func NewSweep(opts ...SweepOption) *Sweep {
 
 // World resolves the shared world (generating it if needed); repeated
 // calls return the same world.
-func (s *Sweep) World() *World {
-	if s.world == nil {
-		cfg := sitegen.DefaultConfig(s.seed)
-		if s.worldCfg != nil {
-			cfg = *s.worldCfg
-			if s.seedSet {
-				cfg.Seed = s.seed
-			}
-		}
-		if s.sites > 0 {
-			cfg.NumSites = s.sites
-		}
-		s.world = sitegen.Generate(cfg)
-	}
-	return s.world
-}
-
-// crawlOptions resolves the effective per-variant crawl policy.
-func (s *Sweep) crawlOptions() crawler.Options {
-	opts := crawler.DefaultOptions(s.seed)
-	if s.crawlCfg != nil {
-		opts = *s.crawlCfg
-		if s.seedSet {
-			opts.Seed = s.seed
-		}
-	}
-	if s.days > 0 {
-		opts.Days = s.days
-	}
-	if s.workers > 0 {
-		opts.Workers = s.workers
-	}
-	return opts
-}
+func (s *Sweep) World() *World { return s.resolveWorld(sitegen.Shard{}) }
 
 // Run executes the baseline and every axis variant over the shared
 // world and returns the comparison. Sinks are always closed exactly
