@@ -98,9 +98,12 @@ bench-gate:
 # the shard-file target checks that the reader never panics and that an
 # accepted file re-marshals to a fixed point; the metric-section target
 # checks the same of each metric's DecodeState alone, and that a decoded
-# metric renders. Their seeds are whole shard files and metric states
-# (kilobytes), so minimizing each new input would eat the budget: those
-# runs skip minimization. The committed corpora under
+# metric renders; the JSONL-reader target checks the dataset line
+# decoder against encoding/json (record equality whenever the fast path
+# accepts, and ReadStream's records and errors against an all-stdlib
+# reader). Their seeds are whole shard files, metric states and crawl
+# lines (kilobytes), so minimizing each new input would eat the budget:
+# those runs skip minimization. The committed corpora under
 # internal/*/testdata/fuzz/ also replay as plain unit tests on every
 # 'make test'.
 fuzz-smoke:
@@ -108,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidResponse$$' -fuzztime $(FUZZTIME) ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalShard$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/dataset
 
 # Counterfactual-sweep smoke: a small timeout+partners+network sweep
 # over one shared world, comparison rendered to stdout.

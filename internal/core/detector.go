@@ -18,6 +18,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -661,6 +662,11 @@ func (d *Detector) Observation() *Observation {
 
 	// Client-channel auctions.
 	clientAuctions := false
+	// Presized only when non-empty, so an auction-free visit still
+	// reports a nil Auctions.
+	if len(d.auctionIDs) > 0 {
+		o.Auctions = make([]AuctionObs, 0, len(d.auctionIDs))
+	}
 	for _, id := range d.auctionIDs {
 		st := d.auctions[id]
 		a := st.obs
@@ -685,6 +691,9 @@ func (d *Detector) Observation() *Observation {
 		winBySlot := make(map[string]*s2sWin, len(d.s2sWinners))
 		for i := range d.s2sWinners {
 			winBySlot[d.s2sWinners[i].Slot] = &d.s2sWinners[i]
+		}
+		if len(d.hostedSlots) > 0 {
+			o.Auctions = slices.Grow(o.Auctions, len(d.hostedSlots))
 		}
 		for i, sp := range d.hostedSlots {
 			a := AuctionObs{

@@ -145,6 +145,9 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 			}
 		}
 	}
+	if len(o.Auctions) > 0 {
+		rec.Auctions = make([]AuctionRecord, 0, len(o.Auctions))
+	}
 	for _, a := range o.Auctions {
 		ar := AuctionRecord{
 			ID:       a.ID,
@@ -157,6 +160,9 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 		}
 		if !a.Start.IsZero() && !a.End.IsZero() {
 			ar.DurationMS = ms(a.End.Sub(a.Start))
+		}
+		if len(a.Bids) > 0 {
+			ar.Bids = make([]BidRecord, 0, len(a.Bids))
 		}
 		for _, b := range a.Bids {
 			br := BidRecord{
@@ -217,34 +223,43 @@ func (w *Writer) Write(rec *SiteRecord) error {
 // Count reports records written.
 func (w *Writer) Count() int { return w.n }
 
-// Close flushes and closes the underlying file (if any).
+// Close flushes and closes the underlying file (if any). The file is
+// closed even when the flush fails; the first error is returned.
 func (w *Writer) Close() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
+	err := w.w.Flush()
 	if w.c != nil {
-		return w.c.Close()
+		if cerr := w.c.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	return err
 }
 
 // ReadStream decodes a JSONL stream record by record, handing each to fn
-// without materializing the dataset. A non-nil error from fn aborts the
-// read and is returned verbatim.
+// without materializing the dataset. Each record is fresh and fn may
+// retain it. A line the zero-reflection decoder (decode.go) does not
+// fully recognize is decoded by encoding/json instead, so every line
+// yields exactly json.Unmarshal's record or error. A non-nil error from
+// fn aborts the read and is returned verbatim.
 func ReadStream(r io.Reader, fn func(*SiteRecord) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	var d recordDecoder
 	line := 0
 	for sc.Scan() {
 		line++
-		if len(sc.Bytes()) == 0 {
+		b := sc.Bytes()
+		if len(b) == 0 {
 			continue
 		}
-		var rec SiteRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return fmt.Errorf("dataset: line %d: %w", line, err)
+		rec := new(SiteRecord)
+		if !d.decode(b, rec) {
+			*rec = SiteRecord{}
+			if err := json.Unmarshal(b, rec); err != nil {
+				return fmt.Errorf("dataset: line %d: %w", line, err)
+			}
 		}
-		if err := fn(&rec); err != nil {
+		if err := fn(rec); err != nil {
 			return err
 		}
 	}

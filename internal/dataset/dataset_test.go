@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -291,5 +292,45 @@ func TestReadStreamMatchesRead(t *testing.T) {
 	}
 	if !reflect.DeepEqual(streamed, recs) {
 		t.Fatalf("streamed records diverged from the written ones:\n got %+v\nwant %+v", streamed, recs)
+	}
+}
+
+// failingFile fails every write and records its Close.
+type failingFile struct {
+	closed   bool
+	closeErr error
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failingFile) Write([]byte) (int, error) { return 0, errDiskFull }
+
+func (f *failingFile) Close() error {
+	f.closed = true
+	return f.closeErr
+}
+
+// TestCloseClosesFileWhenFlushFails: a failed flush must not leak the
+// file, and Close reports the first error — the flush's.
+func TestCloseClosesFileWhenFlushFails(t *testing.T) {
+	f := &failingFile{closeErr: errors.New("close failed")}
+	w := NewWriter(f)
+	w.c = f
+	if err := w.Write(sampleRecords()[0]); err != nil {
+		t.Fatal(err) // buffered: the failing file is not written yet
+	}
+	if err := w.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close = %v, want the flush error", err)
+	}
+	if !f.closed {
+		t.Fatal("file left open after a failed flush")
+	}
+
+	// Nothing buffered: the flush succeeds and the close error surfaces.
+	f = &failingFile{closeErr: errors.New("close failed")}
+	w = NewWriter(f)
+	w.c = f
+	if err := w.Close(); err == nil || err.Error() != "close failed" || !f.closed {
+		t.Fatalf("Close = %v (closed=%v), want the close error", err, f.closed)
 	}
 }
