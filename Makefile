@@ -1,9 +1,13 @@
 GO ?= go
 
 # Committed allocs/visit ceiling for the CI bench gate (see PERF.md for
-# the measured numbers it is derived from; current steady state is ~97
-# after the zero-reflection codec + pooled-page pass).
-ALLOCS_CEILING ?= 110
+# the measured numbers it is derived from; current steady state is ~66
+# after the map-free query and fetch-slab pass, ceiling ~13% above).
+ALLOCS_CEILING ?= 75
+
+# Committed allocs/op ceiling for one full-protocol HB visit
+# (BenchmarkVisit_HB in internal/crawler; 134 measured, ~13% margin).
+VISIT_HB_ALLOCS_CEILING ?= 151
 
 # Max throughput the metrics-attached crawl may give up vs the bare
 # crawl, in percent (the streaming-metrics design goal is <=10%).
@@ -49,8 +53,12 @@ vet:
 # emission) over every package in the
 # module, cmd/ and examples/ included, then staticcheck when installed
 # (CI pins it through lint-tools; a bare container still gets vet+hbvet,
-# which need nothing beyond the Go toolchain).
+# which need nothing beyond the Go toolchain). It fails first when any
+# file is not gofmt-clean.
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/hbvet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
@@ -88,7 +96,8 @@ bench-smoke:
 # the panic quarantine compiled in, so this gate also asserts chaos
 # support costs the clean hot path nothing.
 bench-gate:
-	MAX_ALLOCS=$(ALLOCS_CEILING) MAX_METRICS_OVERHEAD_PCT=$(METRICS_OVERHEAD_PCT) \
+	MAX_ALLOCS=$(ALLOCS_CEILING) MAX_VISIT_HB_ALLOCS=$(VISIT_HB_ALLOCS_CEILING) \
+		MAX_METRICS_OVERHEAD_PCT=$(METRICS_OVERHEAD_PCT) \
 		MAX_OBS_OVERHEAD_PCT=$(OBS_OVERHEAD_PCT) \
 		MAX_SWEEP_VARIANT_PCT=$(SWEEP_VARIANT_PCT) sh scripts/bench_gate.sh
 
@@ -101,9 +110,11 @@ bench-gate:
 # metric renders; the JSONL-reader target checks the dataset line
 # decoder against encoding/json (record equality whenever the fast path
 # accepts, and ReadStream's records and errors against an all-stdlib
-# reader). Their seeds are whole shard files, metric states and crawl
-# lines (kilobytes), so minimizing each new input would eat the budget:
-# those runs skip minimization. The committed corpora under
+# reader); the query target checks the urlkit query view against the
+# map reader it replaced and the URL builders against url.Values.Encode.
+# Their seeds are whole shard files, metric states, crawl lines and URLs,
+# so minimizing each new input would eat the budget: those runs skip
+# minimization. The committed corpora under
 # internal/*/testdata/fuzz/ also replay as plain unit tests on every
 # 'make test'.
 fuzz-smoke:
@@ -112,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalShard$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/urlkit
 
 # Counterfactual-sweep smoke: a small timeout+partners+network sweep
 # over one shared world, comparison rendered to stdout.

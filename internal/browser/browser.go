@@ -15,6 +15,7 @@ import (
 	"headerbid/internal/events"
 	"headerbid/internal/htmlmeta"
 	"headerbid/internal/obs"
+	"headerbid/internal/slab"
 	"headerbid/internal/webreq"
 )
 
@@ -45,6 +46,12 @@ type CallFetcher interface {
 // (see CallFetcher).
 type CallScheduler interface {
 	AfterCall(d time.Duration, fn func(any), arg any)
+}
+
+// Idler is implemented by Envs that can report that no callback is
+// queued, so no fetch of an earlier visit can still be delivered.
+type Idler interface {
+	Idle() bool
 }
 
 // Options tunes page behaviour.
@@ -83,6 +90,13 @@ type Page struct {
 	busyUntil time.Time
 	closed    bool
 
+	// fetches holds each fetch's pendingFetch until Rebind (see
+	// resetFetches); inflight counts the fetches whose last callback has
+	// not run yet.
+	fetches  slab.Slab[pendingFetch]
+	inflight int
+	gen      uint64 // bumped by Rebind; a fetch from an older one is stale
+
 	// Doc is the parsed document, set after load.
 	Doc *htmlmeta.Document
 
@@ -107,13 +121,16 @@ func NewPage(env Env, opts Options) *Page {
 }
 
 // Rebind returns the page to the state NewPage(env, opts) would produce,
-// reusing the bus's and inspector's storage. The crawler pools one page
-// per worker and rebinds it before every visit — the "new, clean
-// instance" policy without the per-visit bus/inspector/hook-table
-// allocations. Callers must not rebind while callbacks of the previous
-// visit can still fire (the crawler resets its scheduler first, which
-// drops them).
+// reusing the bus's and inspector's storage and the fetch slab. The
+// crawler pools one page per worker and rebinds it before every visit —
+// the "new, clean instance" policy without the per-visit
+// bus/inspector/hook-table allocations. A fetch of the previous visit
+// that still delivers is dropped; other callbacks of the previous visit
+// must not be able to fire (the crawler resets its scheduler first,
+// which drops them).
 func (p *Page) Rebind(env Env, opts Options) {
+	p.resetFetches()
+	p.gen++
 	p.URL = ""
 	p.Bus.Reset()
 	p.Inspector.Reset()
@@ -125,6 +142,22 @@ func (p *Page) Rebind(env Env, opts Options) {
 	p.closed = false
 	p.Doc = nil
 	p.Trace = nil
+}
+
+// resetFetches reuses the previous visit's pendingFetches when no
+// callback can reach one again: every fetch has delivered, or the env
+// reports that nothing is queued (the simulated network after its
+// scheduler reset, DESIGN §5.3's reset order). Otherwise a fetch may
+// still be in flight, so they are dropped instead: a late delivery lands
+// in storage no later fetch reuses, and its generation no longer
+// matches the page's.
+func (p *Page) resetFetches() {
+	if idle, ok := p.env.(Idler); p.inflight > 0 && !(ok && idle.Idle()) {
+		p.fetches.Drop()
+	} else {
+		p.fetches.Rewind()
+	}
+	p.inflight = 0
 }
 
 // VisitTrace exposes the visit's span recorder to page libraries (the
@@ -158,13 +191,13 @@ func (p *Page) Closed() bool { return p.closed }
 // pendingFetch is one in-flight page request: the former
 // Fetch-closure -> deliver-closure chain flattened onto a single struct
 // that rides the closure-free network/scheduler paths when the Env
-// provides them. One of these is the only per-request object the page
-// layer allocates.
+// provides them. It comes from the page's slab.
 type pendingFetch struct {
 	p     *Page
 	cb    func(*webreq.Response)
 	resp  *webreq.Response
 	reqID int64
+	gen   uint64 // the page's rebind generation at Fetch
 }
 
 // pendingFetchNet receives the raw network response (CallFetcher path).
@@ -182,7 +215,11 @@ func pendingFetchRun(a any) {
 // the thread for HandlerCost.
 func (pf *pendingFetch) onNet(resp *webreq.Response) {
 	p := pf.p
+	if pf.gen != p.gen {
+		return // issued before a Rebind: never deliver into the next visit
+	}
 	if p.closed {
+		p.inflight--
 		return
 	}
 	resp.RequestID = pf.reqID
@@ -207,6 +244,10 @@ func (pf *pendingFetch) onNet(resp *webreq.Response) {
 
 func (pf *pendingFetch) run() {
 	p := pf.p
+	if pf.gen != p.gen {
+		return
+	}
+	p.inflight--
 	if p.closed {
 		return
 	}
@@ -231,7 +272,9 @@ func (p *Page) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
 	}
 	req.ID = p.Inspector.NextID()
 	p.Inspector.SawRequest(req)
-	pf := &pendingFetch{p: p, cb: cb, reqID: req.ID}
+	pf := p.fetches.New()
+	pf.p, pf.cb, pf.reqID, pf.gen = p, cb, req.ID, p.gen
+	p.inflight++
 	if p.envFetch != nil {
 		p.envFetch.FetchCall(req, pendingFetchNet, pf)
 		return

@@ -425,13 +425,13 @@ func (d *Detector) onRequest(req *webreq.Request) {
 		if strings.Contains(req.URL, "/ssp/auction") {
 			d.hostedReq = req.Sent
 			d.hostedProvider = p.Slug
-			d.hostedSlots = parseSlotSpecs(params["slots"])
+			d.hostedSlots = parseSlotSpecs(params.Get("slots"))
 		}
 		if strings.Contains(req.URL, "/hb/v1/bid") {
 			if d.bidReqFirst.IsZero() {
 				d.bidReqFirst = req.Sent
 			}
-			if params["retry"] != "" {
+			if params.Get("retry") != "" {
 				d.bidRetries++
 			}
 		}
@@ -440,11 +440,14 @@ func (d *Detector) onRequest(req *webreq.Request) {
 		}
 	}
 
-	// HB parameter vocabulary in any request (creative fetches included).
-	for k := range params {
-		if hb.IsTargetingKey(k) {
-			d.hbParamSeen = true
-			break
+	// HB parameter vocabulary in any request (creative fetches included);
+	// once seen, later requests need no scan.
+	if !d.hbParamSeen {
+		for k := range params.Keys() {
+			if hb.IsTargetingKey(k) {
+				d.hbParamSeen = true
+				break
+			}
 		}
 	}
 	// Server-side winner mining from creative requests.
@@ -496,11 +499,11 @@ func (d *Detector) onResponse(req *webreq.Request, resp *webreq.Response) {
 	// state crawl set no hb_* keys, but the exchange still closes the HB
 	// round and bounds its latency).
 	params := req.Params()
-	if _, hasSlots := params["slots"]; hasSlots && !d.adSrvIsPartner && resp.OK() {
+	if _, hasSlots := params.Lookup("slots"); hasSlots && !d.adSrvIsPartner && resp.OK() {
 		pageReg := d.pageRegistrable()
 		firstParty := pageReg != "" && req.RegistrableHost() == pageReg
 		hasHBKey := false
-		for k := range params {
+		for k := range params.Keys() {
 			if hb.IsTargetingKey(stripSlotSuffix(k)) {
 				hasHBKey = true
 				break
@@ -523,7 +526,7 @@ func isHBEndpoint(url string) bool {
 }
 
 // countTraffic categorizes one request for the overhead analysis.
-func (d *Detector) countTraffic(req *webreq.Request, params map[string]string) {
+func (d *Detector) countTraffic(req *webreq.Request, params urlkit.Query) {
 	switch {
 	case strings.Contains(req.URL, "/hb/v1/bid"):
 		d.traffic.BidRequests++
@@ -539,7 +542,7 @@ func (d *Detector) countTraffic(req *webreq.Request, params map[string]string) {
 	case req.Kind == webreq.KindScript:
 		d.traffic.Scripts++
 	default:
-		if _, hasSlots := params["slots"]; hasSlots {
+		if _, hasSlots := params.Lookup("slots"); hasSlots {
 			d.traffic.AdServer++
 		} else {
 			d.traffic.Other++
@@ -548,32 +551,98 @@ func (d *Detector) countTraffic(req *webreq.Request, params map[string]string) {
 }
 
 // mineTargeting extracts server-side HB winners from hb_* parameters.
-func (d *Detector) mineTargeting(params map[string]string, at time.Time) {
-	t := hb.ParseTargeting(params)
-	if t == nil {
+func (d *Detector) mineTargeting(params urlkit.Query, at time.Time) {
+	t := readTargeting(params)
+	if !t.seen {
 		return
 	}
 	d.hbParamSeen = true
-	bidder := t.Bidder()
-	if bidder == "" {
+	if t.bidder == "" {
 		return
 	}
-	d.markWinner(bidder)
-	if src := t[hb.KeySource]; src == "s2s" {
-		cpm, _ := t.Price()
+	d.markWinner(t.bidder)
+	if t.source == "s2s" {
+		cpm, _ := t.price()
 		// Prefer the exact hb_price over the bucketed hb_pb when present.
-		if raw, ok := params[hb.KeyPrice]; ok {
+		if raw, ok := params.Lookup(hb.KeyPrice); ok {
 			var f float64
 			if _, err := sscanFloat(raw, &f); err == nil {
 				cpm = f
 			}
 		}
-		size, _ := t.Size()
+		size, _ := t.size()
 		d.s2sWinners = append(d.s2sWinners, s2sWin{
-			Bid:  BidObs{Bidder: bidder, CPM: cpm, Size: size, Source: "s2s"},
-			Slot: params["slot"],
+			Bid:  BidObs{Bidder: t.bidder, CPM: cpm, Size: size, Source: "s2s"},
+			Slot: params.Get("slot"),
 		})
 	}
+}
+
+// targeting is what mineTargeting reads of a query's hb_* keys, taken in
+// one pass without building an hb.Targeting map. Its fields mean what
+// hb.ParseTargeting's map gives: keys compare lower-cased, of two that
+// differ only in case the later wins, and bidder is Targeting.Bidder.
+type targeting struct {
+	seen                   bool // any hb_* key at all
+	bidder, source         string
+	pb, priceRaw, sizeRaw  string
+	hasPB, hasPrice, hasSz bool
+}
+
+func readTargeting(params urlkit.Query) targeting {
+	var t targeting
+	hasBidder, partner := false, ""
+	for k, v := range params.All() {
+		if !hb.IsTargetingKey(k) {
+			continue
+		}
+		t.seen = true
+		switch urlkit.LowerASCII(k) {
+		case hb.KeyBidder:
+			t.bidder, hasBidder = v, true
+		case hb.KeyPartner:
+			partner = v
+		case hb.KeySource:
+			t.source = v
+		case hb.KeyPriceBuck:
+			t.pb, t.hasPB = v, true
+		case hb.KeyPrice:
+			t.priceRaw, t.hasPrice = v, true
+		case hb.KeySize:
+			t.sizeRaw, t.hasSz = v, true
+		}
+	}
+	if !hasBidder {
+		t.bidder = partner
+	}
+	return t
+}
+
+// price is Targeting.Price: hb_pb, else hb_price, whichever parses.
+func (t targeting) price() (float64, bool) {
+	if t.hasPB {
+		if f, err := strconv.ParseFloat(t.pb, 64); err == nil {
+			return f, true
+		}
+	}
+	if t.hasPrice {
+		if f, err := strconv.ParseFloat(t.priceRaw, 64); err == nil {
+			return f, true
+		}
+	}
+	return 0, false
+}
+
+// size is Targeting.Size.
+func (t targeting) size() (hb.Size, bool) {
+	if !t.hasSz {
+		return hb.Size{}, false
+	}
+	s, err := hb.ParseSize(t.sizeRaw)
+	if err != nil {
+		return hb.Size{}, false
+	}
+	return s, true
 }
 
 // lastPartnerLatency returns the most recent observed bid latency for a

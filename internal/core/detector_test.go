@@ -10,6 +10,7 @@ import (
 	"headerbid/internal/events"
 	"headerbid/internal/hb"
 	"headerbid/internal/partners"
+	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
 
@@ -156,7 +157,7 @@ func feedHostedFlow(p *browser.Page, withWinner bool) {
 		p.Inspector.SawRequest(req)
 		p.Bus.Emit(events.Event{Type: events.SlotRenderEnded, Time: at(300), AdUnit: "s1",
 			Size: hb.SizeMediumRectangle, Library: "gpt.js",
-			Params: map[string]string{"slot": "s1", hb.KeyBidder: "ix", hb.KeySource: "s2s"}})
+			Params: urlkit.EncodeQuery(hb.KeyBidder, "ix", hb.KeySource, "s2s", "slot", "s1")})
 	}
 }
 
@@ -353,5 +354,33 @@ func TestLibrariesRecorded(t *testing.T) {
 	o := det.Observation()
 	if len(o.Libraries) != 2 { // prebid.js + gpt.js (render event)
 		t.Fatalf("libraries = %v", o.Libraries)
+	}
+}
+
+// TestReadTargetingMatchesParseTargeting pins the map-free read of a
+// query's hb_* keys to hb.ParseTargeting's semantics, case variants,
+// legacy keys and unparsable values included.
+func TestReadTargetingMatchesParseTargeting(t *testing.T) {
+	for _, q := range []urlkit.Query{
+		"", "channel=hb", "slot=a&size=300x250",
+		"channel=hb&hb_bidder=ix&hb_pb=0.30&hb_size=300x250&hb_source=s2s&slot=s1",
+		"hb_partner=criteo&hb_price=0.42",
+		"hb_partner=criteo&hb_bidder=",
+		"HB_BIDDER=a&hb_bidder=b&hb_source=client&HB_PB=1.5",
+		"hb_bidder=b&HB_Bidder=a&HB_SOURCE=s2s&hb_size=bad",
+		"hb_pb=x&hb_price=0.7&hb_size=728x90",
+		"hb_pb_appnexus=1.00&bidder=rubicon",
+		"hb_bidder=a&hb_bidder=b&%68b_bidder=c",
+	} {
+		tg := hb.ParseTargeting(q)
+		got := readTargeting(q)
+		gotPrice, gotOK := got.price()
+		wantPrice, wantOK := tg.Price()
+		gotSize, gotSzOK := got.size()
+		wantSize, wantSzOK := tg.Size()
+		if got.seen != (tg != nil) || got.bidder != tg.Bidder() || got.source != tg[hb.KeySource] ||
+			gotPrice != wantPrice || gotOK != wantOK || gotSize != wantSize || gotSzOK != wantSzOK {
+			t.Errorf("readTargeting(%q) = %+v; ParseTargeting gives %v", q, got, tg)
+		}
 	}
 }

@@ -58,7 +58,7 @@ func TestDetectorNeverPanicsProperty(t *testing.T) {
 					Bidder:    reg.Slugs()[r.Intn(84)],
 					CPM:       r.Float64() * 5,
 					Size:      hb.Size{W: r.Intn(1000), H: r.Intn(1000)},
-					Params:    map[string]string{"hb_pb": "x", "slot": "a"},
+					Params:    "hb_pb=x&slot=a",
 				})
 			case 1:
 				req := &webreq.Request{

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"headerbid/internal/hb"
+	"headerbid/internal/urlkit"
 )
 
 // Type enumerates the HB library events the detector understands
@@ -63,8 +64,9 @@ type Event struct {
 	Currency  hb.Currency
 	Size      hb.Size
 	// Params carries library-specific extras (hb_* targeting, deal ids),
-	// exactly the key-values the detector mines for Server-Side HB.
-	Params map[string]string
+	// exactly the key-values the detector mines for Server-Side HB, as
+	// an encoded query (a creative URL's own query, for render events).
+	Params urlkit.Query
 	// Library names the emitting wrapper ("prebid.js", "gpt.js", ...).
 	Library string
 }

@@ -99,17 +99,12 @@ func (c *ServerSideClient) Run(done func(*ServerSideResult)) {
 		specs = append(specs, s.Code+"|"+s.Size.String())
 	}
 	endpoint := "https://hb." + provider.Host + "/ssp/auction"
-	hostedParams := map[string]string{
-		"site":  c.cfg.Site,
-		"slots": strings.Join(specs, ","),
-	}
 	req := &webreq.Request{
-		URL:    urlkit.WithParams(endpoint, hostedParams),
+		URL:    urlkit.BuildURL(endpoint, "site", c.cfg.Site, "slots", strings.Join(specs, ",")),
 		Method: webreq.POST,
 		Kind:   webreq.KindXHR,
 		Sent:   now,
 	}
-	req.PrefillParams(hostedParams)
 	c.env.Fetch(req, func(resp *webreq.Response) {
 		c.onResponse(res, resp, done)
 	})
@@ -167,7 +162,7 @@ func (c *ServerSideClient) onResponse(res *ServerSideResult, resp *webreq.Respon
 				c.emit(events.Event{
 					Type: events.SlotRenderEnded, Time: now,
 					AdUnit: so.Code, Size: so.Size, Library: "gpt.js",
-					Params: urlkit.QueryParams(out.CreativeURL),
+					Params: urlkit.URLQuery(out.CreativeURL),
 				})
 			}
 			finish()

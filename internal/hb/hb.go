@@ -383,11 +383,12 @@ func TargetingFromBid(b Bid) Targeting {
 	return t
 }
 
-// ParseTargeting extracts the HB key-values from a flat parameter map,
-// returning nil when none are present.
-func ParseTargeting(params map[string]string) Targeting {
+// ParseTargeting extracts the HB key-values from a query, returning nil
+// when none are present. Keys are lower-cased; of two keys that differ
+// only in case, the later one wins.
+func ParseTargeting(params urlkit.Query) Targeting {
 	var t Targeting
-	for k, v := range params {
+	for k, v := range params.All() {
 		if IsTargetingKey(k) {
 			if t == nil {
 				t = Targeting{}

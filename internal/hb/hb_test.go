@@ -125,26 +125,20 @@ func TestTargetingFromBidAndBack(t *testing.T) {
 }
 
 func TestParseTargeting(t *testing.T) {
-	params := map[string]string{
-		"hb_bidder": "rubicon",
-		"hb_pb":     "0.50",
-		"slot":      "div-1",
-		"noise":     "x",
-	}
-	tg := ParseTargeting(params)
+	tg := ParseTargeting("hb_bidder=rubicon&hb_pb=0.50&slot=div-1&noise=x")
 	if tg == nil || tg.Bidder() != "rubicon" {
 		t.Fatalf("targeting = %v", tg)
 	}
 	if _, ok := tg["slot"]; ok {
 		t.Fatal("non-HB param leaked into targeting")
 	}
-	if ParseTargeting(map[string]string{"a": "b"}) != nil {
+	if ParseTargeting("a=b") != nil {
 		t.Fatal("no HB params should yield nil")
 	}
 }
 
 func TestTargetingLegacyKeys(t *testing.T) {
-	tg := ParseTargeting(map[string]string{"hb_partner": "criteo", "hb_price": "0.42"})
+	tg := ParseTargeting("hb_partner=criteo&hb_price=0.42")
 	if tg.Bidder() != "criteo" {
 		t.Fatalf("legacy bidder = %q", tg.Bidder())
 	}

@@ -71,7 +71,6 @@ type Profile struct {
 	bidEndpoint  string
 	syncEndpoint string
 	bidReqURL    string
-	bidReqParams map[string]string
 	latMu        float64
 	latSigma     float64
 	latReady     bool
@@ -86,8 +85,7 @@ func (p *Profile) precompute() {
 	p.syncEndpoint = "https://sync." + p.Host + "/pixel"
 	// "bidder" is hb.KeyBidderFull, prebid's bid-request parameter; the
 	// literal avoids a partners→hb dependency for one constant.
-	p.bidReqParams = map[string]string{"bidder": p.Slug}
-	p.bidReqURL = urlkit.WithParams(p.bidEndpoint, p.bidReqParams)
+	p.bidReqURL = urlkit.BuildURL(p.bidEndpoint, "bidder", p.Slug)
 	p.latMu, p.latSigma = rng.LogNormalParams(p.MedianMS, p.P90MS)
 	p.latReady = true
 }
@@ -97,19 +95,9 @@ func (p *Profile) precompute() {
 // instead of once per bid request of every visit.
 func (p *Profile) BidRequestURL() string {
 	if p.bidReqURL == "" {
-		return urlkit.WithParams(p.BidEndpoint(), map[string]string{"bidder": p.Slug})
+		return urlkit.BuildURL(p.BidEndpoint(), "bidder", p.Slug)
 	}
 	return p.bidReqURL
-}
-
-// BidRequestParams returns the shared query-parameter view matching
-// BidRequestURL (for webreq.Request.PrefillParams). The map is shared
-// across every bid request to this partner: treat it as read-only.
-func (p *Profile) BidRequestParams() map[string]string {
-	if p.bidReqParams == nil {
-		return map[string]string{"bidder": p.Slug}
-	}
-	return p.bidReqParams
 }
 
 // BidEndpoint returns the URL wrappers POST bid requests to.

@@ -52,7 +52,7 @@ func (r *roundState) finalizeAuction() {
 		w.emit(events.Event{
 			Type: events.AuctionEnd, Time: now, AuctionID: uo.AuctionID,
 			AdUnit: u.Code, Library: "prebid.js",
-			Params: map[string]string{"bids": strconv.Itoa(len(uo.Bids))},
+			Params: urlkit.EncodeQuery("bids", strconv.Itoa(len(uo.Bids))),
 		})
 		uo.Winner = pickWinner(uo.Bids)
 	}
@@ -83,10 +83,9 @@ func (r *roundState) callAdServer() {
 	now := w.env.Now()
 	r.adServerSent = now
 
-	params := map[string]string{
-		"site": w.cfg.Site,
-		"t":    strconv.FormatInt(now.UnixMilli(), 10),
-	}
+	var params urlkit.Params
+	params.Set("site", w.cfg.Site)
+	params.Set("t", strconv.FormatInt(now.UnixMilli(), 10))
 	var slotSpecs []string
 	for _, u := range w.cfg.AdUnits {
 		uo := r.units[u.Code]
@@ -95,13 +94,13 @@ func (r *roundState) callAdServer() {
 			t := hb.TargetingFromBid(*uo.Winner)
 			for k, v := range t {
 				// Scope keys per slot the way GPT encodes per-slot targeting.
-				params[k+"."+u.Code] = v
+				params.Set(k+"."+u.Code, v)
 			}
 			// Also set the flat keys for the best slot so simple parsers
 			// (and the detector's Server-Side heuristics) see them.
 			for k, v := range t {
-				if _, dup := params[k]; !dup {
-					params[k] = v
+				if !params.Has(k) {
+					params.Set(k, v)
 				}
 			}
 		}
@@ -110,29 +109,23 @@ func (r *roundState) callAdServer() {
 				if b.Late {
 					continue
 				}
-				params[hb.KeyPriceBuck+"_"+b.Bidder] = hb.PriceBucket(b.USDCPM())
+				params.Set(hb.KeyPriceBuck+"_"+b.Bidder, hb.PriceBucket(b.USDCPM()))
 			}
 		}
 		slotSpecs = append(slotSpecs, spec)
 	}
-	params["slots"] = strings.Join(slotSpecs, ",")
-
-	w.emit(events.Event{
-		Type: events.SetTargeting, Time: now, Library: "prebid.js",
-		Params: params,
-	})
+	params.Set("slots", strings.Join(slotSpecs, ","))
 
 	req := &webreq.Request{
-		URL:    urlkit.WithParams(w.cfg.AdServerURL, params),
+		URL:    params.URL(w.cfg.AdServerURL),
 		Method: webreq.GET,
 		Kind:   webreq.KindXHR,
 		Sent:   now,
 	}
-	if !strings.Contains(w.cfg.AdServerURL, "?") {
-		// The query is exactly the map we just encoded: hand it to the
-		// request so no hop (network, ad server, detector) re-parses it.
-		req.PrefillParams(params)
-	}
+	w.emit(events.Event{
+		Type: events.SetTargeting, Time: now, Library: "prebid.js",
+		Params: req.Params(),
+	})
 	w.env.Fetch(req, func(resp *webreq.Response) {
 		r.onAdServerResponse(resp)
 	})
@@ -168,10 +161,9 @@ func (r *roundState) onAdServerResponse(resp *webreq.Response) {
 				AdUnit: u.Code, Bidder: uo.Winner.Bidder,
 				CPM: uo.Winner.USDCPM(), Size: uo.Winner.Size,
 				Library: "prebid.js",
-				Params: map[string]string{
-					hb.KeyBidder:    uo.Winner.Bidder,
-					hb.KeyPriceBuck: hb.PriceBucket(uo.Winner.USDCPM()),
-				},
+				Params: urlkit.EncodeQuery(
+					hb.KeyBidder, uo.Winner.Bidder,
+					hb.KeyPriceBuck, hb.PriceBucket(uo.Winner.USDCPM())),
 			})
 		}
 		r.render(u, uo, d)
@@ -243,7 +235,7 @@ func (r *roundState) render(u AdUnit, uo *UnitOutcome, d slotDecision) {
 		w.emit(events.Event{
 			Type: events.SlotRenderEnded, Time: now, AuctionID: uo.AuctionID,
 			AdUnit: u.Code, Size: u.PrimarySize(), Library: "gpt.js",
-			Params: map[string]string{"channel": d.Channel},
+			Params: urlkit.EncodeQuery("channel", d.Channel),
 		})
 		if d.Channel == "hb" && uo.Winner != nil {
 			// Winner notification beacon with the charged price.

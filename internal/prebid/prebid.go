@@ -27,6 +27,7 @@ import (
 	"headerbid/internal/obs"
 	"headerbid/internal/partners"
 	"headerbid/internal/rtb"
+	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
 
@@ -175,6 +176,11 @@ type Wrapper struct {
 	traceSrc obs.TraceSource
 
 	auctionSeq int
+
+	// formats holds each ad unit's banner formats (by AdUnits index),
+	// built on the first bid request and shared by every bidder's
+	// request: the codec only reads them.
+	formats [][]rtb.Format
 }
 
 // New creates a wrapper. bus receives the wrapper's DOM events; reg maps
@@ -283,18 +289,15 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 	}
 	imps := make([]rtb.Impression, 0, len(w.cfg.AdUnits))
 	unitsForBidder := make([]string, 0, len(w.cfg.AdUnits))
-	for _, u := range w.cfg.AdUnits {
+	formats := w.unitFormats()
+	for i, u := range w.cfg.AdUnits {
 		if !contains(u.Bidders, bidder) {
 			continue
 		}
 		unitsForBidder = append(unitsForBidder, u.Code)
-		formats := make([]rtb.Format, len(u.Sizes))
-		for i, s := range u.Sizes {
-			formats[i] = rtb.Format{W: s.W, H: s.H}
-		}
 		imps = append(imps, rtb.Impression{
 			ID:       u.Code,
-			Banner:   rtb.Banner{Format: formats},
+			Banner:   rtb.Banner{Format: formats[i]},
 			FloorCPM: w.cfg.FloorCPM,
 			TagID:    u.Code,
 		})
@@ -332,8 +335,8 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 		})
 	}
 
-	// URL and query view are pre-rendered per profile (they depend only
-	// on the bidder); the params map is shared and read-only.
+	// The URL is pre-rendered per profile (it depends only on the
+	// bidder).
 	httpReq := &webreq.Request{
 		URL:    profile.BidRequestURL(),
 		Method: webreq.POST,
@@ -341,7 +344,6 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 		Body:   body,
 		Sent:   now,
 	}
-	httpReq.PrefillParams(profile.BidRequestParams())
 	br := BidderResult{Bidder: bidder, Requested: now}
 	round.result.Bidders = append(round.result.Bidders, br)
 	idx := len(round.result.Bidders) - 1
@@ -349,6 +351,27 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 	w.env.Fetch(httpReq, func(resp *webreq.Response) {
 		w.onBidResponse(round, idx, bidder, unitsForBidder, body, 0, resp)
 	})
+}
+
+// unitFormats returns the banner formats of every ad unit, building them
+// once per wrapper in one backing array.
+func (w *Wrapper) unitFormats() [][]rtb.Format {
+	if w.formats == nil {
+		n := 0
+		for _, u := range w.cfg.AdUnits {
+			n += len(u.Sizes)
+		}
+		all := make([]rtb.Format, 0, n)
+		w.formats = make([][]rtb.Format, len(w.cfg.AdUnits))
+		for i, u := range w.cfg.AdUnits {
+			start := len(all)
+			for _, s := range u.Sizes {
+				all = append(all, rtb.Format{W: s.W, H: s.H})
+			}
+			w.formats[i] = all[start:len(all):len(all)]
+		}
+	}
+	return w.formats
 }
 
 // retryBidRequest re-issues a failed bid POST (same body). The retry URL
@@ -450,11 +473,10 @@ func (w *Wrapper) onBidResponse(round *roundState, idx int, bidder string, units
 				Type: events.BidResponse, Time: now, AuctionID: uo.AuctionID,
 				AdUnit: sb.ImpID, Bidder: bidder, CPM: bid.USDCPM(),
 				Currency: cur, Size: bid.Size, Library: "prebid.js",
-				Params: map[string]string{
-					hb.KeyBidder: bidder,
-					hb.KeySize:   bid.Size.String(),
-					"late":       strconv.FormatBool(br.Late),
-				},
+				Params: urlkit.EncodeQuery(
+					hb.KeyBidder, bidder,
+					hb.KeySize, bid.Size.String(),
+					"late", strconv.FormatBool(br.Late)),
 			})
 		}
 	}

@@ -82,11 +82,11 @@ func bidderResponder(latencies map[string]time.Duration, cpms map[string]float64
 		case strings.Contains(req.URL, "/serve"):
 			// Publisher ad server: fill every slot via HB when targeting
 			// is present.
-			params := webreqParams(req)
+			params := req.Params()
 			var lines []string
-			for _, spec := range strings.Split(params["slots"], ",") {
+			for _, spec := range strings.Split(params.Get("slots"), ",") {
 				code := strings.Split(spec, "|")[0]
-				if params[hb.KeyBidder+"."+code] != "" {
+				if params.Get(hb.KeyBidder+"."+code) != "" {
 					lines = append(lines, code+"|hb|https://creatives.example/render?slot="+code)
 				} else {
 					lines = append(lines, code+"|house|https://creatives.example/render?house=1&slot="+code)
@@ -100,8 +100,6 @@ func bidderResponder(latencies map[string]time.Duration, cpms map[string]float64
 		}
 	}
 }
-
-func webreqParams(req *webreq.Request) map[string]string { return req.Params() }
 
 func testConfig(units int, bidders ...string) Config {
 	cfg := Config{

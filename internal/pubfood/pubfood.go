@@ -10,7 +10,6 @@ package pubfood
 
 import (
 	"strconv"
-	"strings"
 	"time"
 
 	"headerbid/internal/events"
@@ -250,18 +249,17 @@ const retryBackoffBase = 100 * time.Millisecond
 func (l *Library) dispatchBid(prof *partners.Profile, bySlot map[string]*SlotResult,
 	auctionIDs map[string]string, pending *int, onDone func(slug string),
 	body string, sent time.Time, attempt int) {
-	bidParams := map[string]string{hb.KeyBidderFull: prof.Slug}
+	url := prof.BidRequestURL()
 	if attempt > 0 {
-		bidParams["retry"] = strconv.Itoa(attempt)
+		url = urlkit.BuildURL(prof.BidEndpoint(), hb.KeyBidderFull, prof.Slug, "retry", strconv.Itoa(attempt))
 	}
 	req := &webreq.Request{
-		URL:    urlkit.WithParams(prof.BidEndpoint(), bidParams),
+		URL:    url,
 		Method: webreq.POST,
 		Kind:   webreq.KindXHR,
 		Body:   body,
 		Sent:   l.env.Now(),
 	}
-	req.PrefillParams(bidParams)
 	l.env.Fetch(req, func(resp *webreq.Response) {
 		if resp.Err != "" && attempt < maxBidRetries {
 			l.env.After(retryBackoffBase<<attempt, func() {
@@ -330,28 +328,25 @@ func (l *Library) dispatchBid(prof *partners.Profile, bySlot map[string]*SlotRes
 func (l *Library) callAdServer(res *Result, bySlot map[string]*SlotResult,
 	auctionIDs map[string]string, done func(*Result)) {
 	now := l.env.Now()
-	params := map[string]string{"site": l.cfg.Site}
+	var params urlkit.Params
+	params.Set("site", l.cfg.Site)
 	var specs []string
 	for _, s := range l.cfg.Slots {
 		specs = append(specs, s.Name+"|"+s.Size.String())
 		if w := bySlot[s.Name].Winner; w != nil {
 			for k, v := range hb.TargetingFromBid(*w) {
-				params[k+"."+s.Name] = v
+				params.Set(k+"."+s.Name, v)
 			}
 		}
 	}
-	params["slots"] = joinComma(specs)
-	l.emit(events.Event{Type: events.SetTargeting, Time: now, Library: "pubfood.js", Params: params})
-
+	params.Set("slots", joinComma(specs))
 	req := &webreq.Request{
-		URL:    urlkit.WithParams(l.cfg.AdServerURL, params),
+		URL:    params.URL(l.cfg.AdServerURL),
 		Method: webreq.GET,
 		Kind:   webreq.KindXHR,
 		Sent:   now,
 	}
-	if !strings.Contains(l.cfg.AdServerURL, "?") {
-		req.PrefillParams(params)
-	}
+	l.emit(events.Event{Type: events.SetTargeting, Time: now, Library: "pubfood.js", Params: req.Params()})
 	l.env.Fetch(req, func(resp *webreq.Response) {
 		res.AdServerResponded = l.env.Now()
 		if vt := l.vt(); vt.Enabled() {
@@ -414,7 +409,7 @@ func (l *Library) render(res *Result, bySlot map[string]*SlotResult,
 					Type: events.SlotRenderEnded, Time: now,
 					AuctionID: auctionIDs[slotName], AdUnit: slotName,
 					Size: slotSize(l.cfg.Slots, slotName), Library: "pubfood.js",
-					Params: urlkit.QueryParams(parts[2]),
+					Params: urlkit.URLQuery(parts[2]),
 				})
 			}
 			finish()

@@ -12,6 +12,7 @@ import (
 
 	"headerbid/internal/clock"
 	"headerbid/internal/rng"
+	"headerbid/internal/slab"
 	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
@@ -123,6 +124,9 @@ type Network struct {
 	baseRTT      time.Duration
 	jitter       time.Duration
 
+	// calls holds each fetch's netCall until Reset (see resetCalls).
+	calls slab.Slab[netCall]
+
 	// Requests counts every Fetch, for traffic accounting. BytesOut and
 	// BytesIn are the virtual wire volume: request URL+payload bytes
 	// out, response payload bytes in (whatever survives faulting). Plain
@@ -154,7 +158,8 @@ func New(sched *clock.Scheduler, seed int64) *Network {
 func (n *Network) Seed() int64 { return n.seed }
 
 // Reset returns the network to the state New(sched, seed) would produce,
-// reusing the host and memoization tables' storage. The crawler pools
+// reusing the host and memoization tables' storage and the fetch slab
+// (see resetCalls: reset the scheduler first). The crawler pools
 // one network per worker and resets it between clean-slate visits; the
 // byte-identical-JSONL determinism suite is the proof no state survives
 // the reset.
@@ -178,6 +183,22 @@ func (n *Network) Reset(seed int64) {
 	n.Requests = 0
 	n.BytesOut = 0
 	n.BytesIn = 0
+	n.resetCalls()
+}
+
+// resetCalls reuses the netCalls of the previous visit (the page's
+// inspector keeps pointers to their embedded Responses until its own
+// reset). That is only safe when no scheduled event can still reach one,
+// which holds once the scheduler has been reset or has drained
+// (DESIGN §5.3's reset order: scheduler, then network, then page).
+// Otherwise they are dropped, so a late event lands in storage no later
+// fetch reuses.
+func (n *Network) resetCalls() {
+	if n.Sched.Pending() > 0 {
+		n.calls.Drop()
+	} else {
+		n.calls.Rewind()
+	}
 }
 
 // SetRTT adjusts the base round-trip time and jitter of the network.
@@ -360,7 +381,8 @@ func (e *Env) Post(fn func()) { e.net.Sched.Post(fn) }
 // netCall is the state of one in-flight simulated fetch. The fetch
 // pipeline (arrive at server -> run handler -> deliver response) used to
 // be a chain of closures, two per request; the whole chain now rides one
-// struct through the scheduler's closure-free AfterCall path.
+// struct through the scheduler's closure-free AfterCall path, and the
+// struct itself comes from the network's slab.
 type netCall struct {
 	net     *Network
 	handler BoundHandler
@@ -369,8 +391,8 @@ type netCall struct {
 	cfn     func(*webreq.Response, any)
 	carg    any // receiver-style callback (FetchCall)
 	rtt     time.Duration
-	resp    *webreq.Response // filled at the server, delivered at the page
-	err     string           // transport failure; delivered instead of a response
+	resp    webreq.Response // filled at the server or on failure, delivered at the page
+	err     string          // transport failure; delivered instead of a response
 
 	// Armed fault effects (applyFault); all zero on the fault-free path.
 	slow      time.Duration // slow-loris: extra delay before delivery
@@ -412,33 +434,42 @@ func netCallArrive(a any) {
 		body = garbleBody(body)
 	}
 	nc.net.BytesIn += len(body)
-	nc.resp = &webreq.Response{RequestID: nc.req.ID, Status: status, Body: body}
+	nc.resp = webreq.Response{RequestID: nc.req.ID, Status: status, Body: body}
 	nc.net.Sched.AfterCall(delay, netCallDeliver, nc)
 }
 
 func netCallDeliver(a any) {
 	nc := a.(*netCall)
-	nc.finish(nc.resp)
+	nc.finish(&nc.resp)
 }
 
 // netCallFail delivers a transport-level error.
 func netCallFail(a any) {
 	nc := a.(*netCall)
-	nc.finish(&webreq.Response{RequestID: nc.req.ID, Err: nc.err})
+	nc.resp = webreq.Response{RequestID: nc.req.ID, Err: nc.err}
+	nc.finish(&nc.resp)
 }
 
 // Fetch resolves the request's host, applies faults, runs the handler at
 // the server after half an RTT, and delivers the response after service
 // time plus the other half RTT. Unknown hosts fail like dead DNS.
 func (e *Env) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
-	e.fetch(&netCall{net: e.net, req: req, cb: cb})
+	nc := e.net.calls.New()
+	nc.net, nc.req, nc.cb = e.net, req, cb
+	e.fetch(nc)
 }
 
 // FetchCall is Fetch with a receiver-style callback (fn(resp, arg)); it
 // implements the browser's closure-free CallFetcher capability.
 func (e *Env) FetchCall(req *webreq.Request, fn func(*webreq.Response, any), arg any) {
-	e.fetch(&netCall{net: e.net, req: req, cfn: fn, carg: arg})
+	nc := e.net.calls.New()
+	nc.net, nc.req, nc.cfn, nc.carg = e.net, req, fn, arg
+	e.fetch(nc)
 }
+
+// Idle reports that no event is queued on the scheduler, so no fetch
+// can still be delivered (the browser's Idler capability).
+func (e *Env) Idle() bool { return e.net.Sched.Pending() == 0 }
 
 // AfterCall schedules fn(arg) after d of virtual time (the browser's
 // closure-free CallScheduler capability).

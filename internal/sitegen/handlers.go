@@ -294,12 +294,12 @@ func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int,
 	defer e.mu.Unlock()
 	r := e.stream("hosted/" + p.Slug)
 	params := req.Params()
-	siteDomain := params["site"]
+	siteDomain := params.Get("site")
 	site, _ := e.World.SiteByDomain(siteDomain)
 
 	service := p.SampleLatency(r)
 	var lines []string
-	forEachSlotSpec(params["slots"], func(code string, size hb.Size) {
+	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		// Each hosted slot triggers its own seat auction at the provider
 		// (Fig 20: more auctioned slots, higher latency).
 		service += time.Duration(18+r.Intn(30)) * time.Millisecond
@@ -315,17 +315,14 @@ func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int,
 		channel := "house"
 		if winner != "" && cpm >= floor {
 			channel = "hb"
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "hb",
-				hb.KeyBidder: winner, hb.KeyPriceBuck: hb.PriceBucket(cpm),
-				hb.KeySize: size.String(), hb.KeySource: "s2s",
-				hb.KeyPrice: fmt4(cpm),
-			})
+			sz := size.String()
+			curl := creativeURL("channel", "hb",
+				hb.KeyBidder, winner, hb.KeyPriceBuck, hb.PriceBucket(cpm),
+				hb.KeyPrice, fmt4(cpm), hb.KeySize, sz, hb.KeySource, "s2s",
+				"size", sz, "slot", code)
 			line = code + "|hb|" + curl
 		} else {
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "house",
-			})
+			curl := creativeURL("channel", "house", "size", size.String(), "slot", code)
 			line = code + "|house|" + curl
 		}
 		if r.Bool(renderFail) {
@@ -384,7 +381,7 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 	defer e.mu.Unlock()
 	r := e.stream("gampad")
 	params := req.Params()
-	siteDomain := params["site"]
+	siteDomain := params.Get("site")
 	site, _ := e.World.SiteByDomain(siteDomain)
 	floor := 0.005
 	renderFail := 0.02
@@ -400,13 +397,13 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 
 	srv := e.adServerFor("dfp/" + siteDomain)
 	var lines []string
-	forEachSlotSpec(params["slots"], func(code string, size hb.Size) {
+	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		service += time.Duration(float64(20+r.Intn(35))/infra) * time.Millisecond
 
 		// Client-side HB candidate from per-slot targeting.
-		clientBidder := params[hb.KeyBidder+"."+code]
+		clientBidder := params.Get(hb.KeyBidder + "." + code)
 		clientCPM := 0.0
-		if pb := params[hb.KeyPriceBuck+"."+code]; pb != "" {
+		if pb := params.Get(hb.KeyPriceBuck + "." + code); pb != "" {
 			if f, err := strconv.ParseFloat(pb, 64); err == nil {
 				clientCPM = f
 			}
@@ -426,32 +423,26 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 		switch {
 		case clientCPM >= floor && clientCPM >= ssCPM && clientBidder != "":
 			channel = "hb"
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "hb",
-				hb.KeyBidder: clientBidder, hb.KeyPriceBuck: hb.PriceBucket(clientCPM),
-				hb.KeySize: size.String(), hb.KeySource: "client",
-			})
+			sz := size.String()
+			curl := creativeURL("channel", "hb",
+				hb.KeyBidder, clientBidder, hb.KeyPriceBuck, hb.PriceBucket(clientCPM),
+				hb.KeySize, sz, hb.KeySource, "client", "size", sz, "slot", code)
 			line = code + "|hb|" + curl
 		case ssCPM >= floor && ssBidder != "":
 			channel = "hb"
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "hb",
-				hb.KeyBidder: ssBidder, hb.KeyPriceBuck: hb.PriceBucket(ssCPM),
-				hb.KeySize: size.String(), hb.KeySource: "s2s",
-				hb.KeyPrice: fmt4(ssCPM),
-			})
+			sz := size.String()
+			curl := creativeURL("channel", "hb",
+				hb.KeyBidder, ssBidder, hb.KeyPriceBuck, hb.PriceBucket(ssCPM),
+				hb.KeyPrice, fmt4(ssCPM), hb.KeySize, sz, hb.KeySource, "s2s",
+				"size", sz, "slot", code)
 			line = code + "|hb|" + curl
 		case dec.Channel == "direct":
 			channel = "direct"
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "direct",
-				"li": dec.LineItem,
-			})
+			curl := creativeURL("channel", "direct", "li", dec.LineItem,
+				"size", size.String(), "slot", code)
 			line = code + "|direct|" + curl
 		default:
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "house",
-			})
+			curl := creativeURL("channel", "house", "size", size.String(), "slot", code)
 			line = code + "|house|" + curl
 		}
 		if r.Bool(renderFail) {
@@ -496,14 +487,15 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 
 	service := time.Duration(float64(25+r.Intn(35))/s.InfraQuality) * time.Millisecond
 	var lines []string
-	forEachSlotSpec(params["slots"], func(code string, size hb.Size) {
+	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		service += time.Duration(float64(12+r.Intn(20))/s.InfraQuality) * time.Millisecond
 
 		t := hb.Targeting{}
-		for k, v := range params {
+		suffix := "." + code
+		for k, v := range params.All() {
 			kl := strings.ToLower(k)
-			if strings.HasSuffix(kl, "."+code) && hb.IsTargetingKey(strings.TrimSuffix(kl, "."+code)) {
-				t[strings.TrimSuffix(kl, "."+code)] = v
+			if base, ok := strings.CutSuffix(kl, suffix); ok && hb.IsTargetingKey(base) {
+				t[base] = v
 			}
 		}
 		dec := srv.Decide(adserver.Request{
@@ -516,19 +508,16 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 		var curl string
 		switch dec.Channel {
 		case "hb":
-			curl = creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "hb",
-				hb.KeyBidder: dec.Bidder, hb.KeyPriceBuck: hb.PriceBucket(dec.CPM),
-				hb.KeySize: size.String(), hb.KeySource: "client",
-			})
+			sz := size.String()
+			curl = creativeURL("channel", "hb",
+				hb.KeyBidder, dec.Bidder, hb.KeyPriceBuck, hb.PriceBucket(dec.CPM),
+				hb.KeySize, sz, hb.KeySource, "client", "size", sz, "slot", code)
 		case "unfilled":
 			lines = append(lines, code+"|unfilled|")
 			return
 		default:
-			curl = creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": dec.Channel,
-				"li": dec.LineItem,
-			})
+			curl = creativeURL("channel", dec.Channel, "li", dec.LineItem,
+				"size", size.String(), "slot", code)
 		}
 		line := code + "|" + dec.Channel + "|" + curl
 		if r.Bool(s.RenderFailProb) {
@@ -557,9 +546,13 @@ func (e *Ecosystem) HandleCDN(req *webreq.Request) (int, string, time.Duration) 
 	return 200, "/* js library stub */", service
 }
 
-// creativeURL builds a creative fetch URL on the creative host.
-func creativeURL(params map[string]string) string {
-	return urlkit.WithParams("https://"+CreativeHost+"/render", params)
+// creativeRenderURL is the creative host's render endpoint.
+const creativeRenderURL = "https://" + CreativeHost + "/render"
+
+// creativeURL builds a creative fetch URL on the creative host from
+// key-ordered pairs (see urlkit.BuildURL).
+func creativeURL(kv ...string) string {
+	return urlkit.BuildURL(creativeRenderURL, kv...)
 }
 
 func round4(x float64) float64 { return math.Round(x*10000) / 10000 }

@@ -132,9 +132,8 @@ func TestHandleHostedLines(t *testing.T) {
 		specs = append(specs, u.Code+"|"+u.PrimarySize().String())
 	}
 	req := &webreq.Request{
-		URL: urlkit.WithParams("https://hb."+p.Host+"/ssp/auction", map[string]string{
-			"site": site.Domain, "slots": strings.Join(specs, ","),
-		}),
+		URL: urlkit.BuildURL("https://hb."+p.Host+"/ssp/auction",
+			"site", site.Domain, "slots", strings.Join(specs, ",")),
 		Method: webreq.POST,
 	}
 	status, body, service := eco.HandlePartner(p, req)
@@ -170,12 +169,11 @@ func TestHandleGampadComparesClientAndServerDemand(t *testing.T) {
 	u := site.AdUnits[0]
 	// Client bid so high it must win whenever the slot fills via HB.
 	req := &webreq.Request{
-		URL: urlkit.WithParams("https://securepubads.doubleclick.net/gampad/ads", map[string]string{
-			"site":                         site.Domain,
-			"slots":                        u.Code + "|" + u.PrimarySize().String(),
-			hb.KeyBidder + "." + u.Code:    "appnexus",
-			hb.KeyPriceBuck + "." + u.Code: "19.90",
-		}),
+		URL: urlkit.BuildURL("https://securepubads.doubleclick.net/gampad/ads",
+			hb.KeyBidder+"."+u.Code, "appnexus",
+			hb.KeyPriceBuck+"."+u.Code, "19.90",
+			"site", site.Domain,
+			"slots", u.Code+"|"+u.PrimarySize().String()),
 		Method: webreq.GET,
 	}
 	status, body, _ := eco.HandlePartner(p, req)
@@ -188,10 +186,8 @@ func TestHandleGampadComparesClientAndServerDemand(t *testing.T) {
 
 	// Without client targeting the slot can only fill via s2s/direct/house.
 	req2 := &webreq.Request{
-		URL: urlkit.WithParams("https://securepubads.doubleclick.net/gampad/ads", map[string]string{
-			"site":  site.Domain,
-			"slots": u.Code + "|" + u.PrimarySize().String(),
-		}),
+		URL: urlkit.BuildURL("https://securepubads.doubleclick.net/gampad/ads",
+			"site", site.Domain, "slots", u.Code+"|"+u.PrimarySize().String()),
 		Method: webreq.GET,
 	}
 	_, body2, _ := eco.HandlePartner(p, req2)
@@ -213,11 +209,10 @@ func TestHandleSiteServesDocumentAndAdServer(t *testing.T) {
 
 	u := site.AdUnits[0]
 	status2, body2, _ := eco.HandleSite(site, &webreq.Request{
-		URL: urlkit.WithParams("https://adserver."+site.Domain+"/serve", map[string]string{
-			"slots":                        u.Code + "|" + u.PrimarySize().String(),
-			hb.KeyBidder + "." + u.Code:    "criteo",
-			hb.KeyPriceBuck + "." + u.Code: "19.90",
-		}),
+		URL: urlkit.BuildURL("https://adserver."+site.Domain+"/serve",
+			hb.KeyBidder+"."+u.Code, "criteo",
+			hb.KeyPriceBuck+"."+u.Code, "19.90",
+			"slots", u.Code+"|"+u.PrimarySize().String()),
 		Method: webreq.GET,
 	})
 	if status2 != 200 {

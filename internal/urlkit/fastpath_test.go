@@ -2,6 +2,7 @@ package urlkit
 
 import (
 	"net/url"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -15,8 +16,8 @@ func refHost(raw string) string {
 	return strings.ToLower(u.Hostname())
 }
 
-// refQueryParams is the pre-overhaul net/url implementation of
-// QueryParams.
+// refQueryParams reads a URL's query through net/url alone: the first
+// value of each key, nil when the URL or every pair is rejected.
 func refQueryParams(raw string) map[string]string {
 	u, err := url.Parse(raw)
 	if err != nil {
@@ -37,7 +38,7 @@ func refQueryParams(raw string) map[string]string {
 	return out
 }
 
-// refWithParams is the pre-overhaul net/url implementation of WithParams.
+// refWithParams attaches params to base through net/url alone.
 func refWithParams(base string, params map[string]string) string {
 	u, err := url.Parse(base)
 	if err != nil {
@@ -99,20 +100,45 @@ func TestHostMatchesNetURL(t *testing.T) {
 	}
 }
 
+// viewMap collects a query view's pairs, failing on a repeated key.
+func viewMap(t testing.TB, q Query) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for k, v := range q.All() {
+		if _, dup := out[k]; dup {
+			t.Fatalf("All(%q) yields key %q twice", q, k)
+		}
+		out[k] = v
+	}
+	return out
+}
+
+// sortedPairs flattens params into the key-ordered k1, v1, ... list the
+// builders take.
+func sortedPairs(params map[string]string) []string {
+	keys := make([]string, 0, len(params))
+	for k := range params {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	kv := make([]string, 0, 2*len(keys))
+	for _, k := range keys {
+		kv = append(kv, k, params[k])
+	}
+	return kv
+}
+
 func TestQueryParamsMatchesNetURL(t *testing.T) {
 	for _, raw := range corpus {
-		got, want := QueryParams(raw), refQueryParams(raw)
-		if (got == nil) != (want == nil) {
-			t.Errorf("QueryParams(%q) nil-ness = %v, reference %v", raw, got == nil, want == nil)
-			continue
-		}
+		q := URLQuery(raw)
+		got, want := viewMap(t, q), refQueryParams(raw)
 		if len(got) != len(want) {
-			t.Errorf("QueryParams(%q) = %v, reference %v", raw, got, want)
+			t.Errorf("URLQuery(%q) = %v, reference %v", raw, got, want)
 			continue
 		}
 		for k, v := range want {
-			if got[k] != v {
-				t.Errorf("QueryParams(%q)[%q] = %q, reference %q", raw, k, got[k], v)
+			if g, ok := q.Lookup(k); !ok || g != v {
+				t.Errorf("URLQuery(%q).Lookup(%q) = %q, %v, reference %q", raw, k, g, ok, v)
 			}
 		}
 	}
@@ -144,8 +170,16 @@ func TestWithParamsMatchesNetURL(t *testing.T) {
 	}
 	for _, base := range bases {
 		for _, params := range paramSets {
-			if got, want := WithParams(base, params), refWithParams(base, params); got != want {
-				t.Errorf("WithParams(%q, %v) = %q, reference %q", base, params, got, want)
+			kv := sortedPairs(params)
+			if got, want := BuildURL(base, kv...), refWithParams(base, params); got != want {
+				t.Errorf("BuildURL(%q, %q) = %q, reference %q", base, kv, got, want)
+			}
+			var ps Params
+			for k, v := range params {
+				ps.Set(k, v)
+			}
+			if got, want := ps.URL(base), refWithParams(base, params); got != want {
+				t.Errorf("Params.URL(%q) = %q, reference %q", base, got, want)
 			}
 		}
 	}

@@ -1,7 +1,8 @@
 // Package urlkit provides URL helpers used by the request inspector:
-// query-parameter scanning for HB-specific keys, registrable-domain
-// extraction (a simplified public-suffix view, sufficient for matching
-// demand-partner endpoints), and host normalization.
+// an allocation-free query view (Query) and the URL builders that encode
+// one (BuildURL, EncodeQuery, Params), registrable-domain extraction (a
+// simplified public-suffix view, sufficient for matching demand-partner
+// endpoints), and host normalization.
 //
 // The helpers here sit on the crawl's per-request hot path (every hop of
 // every simulated request parses a host or a query), so each has a
@@ -12,7 +13,6 @@ package urlkit
 
 import (
 	"net/url"
-	"sort"
 	"strings"
 )
 
@@ -32,31 +32,61 @@ var multiLabelSuffixes = map[string]bool{
 // Host returns the lower-cased host (without port) of a raw URL, or ""
 // when the URL cannot be parsed.
 func Host(raw string) string {
-	// Fast path: a plain absolute URL ("scheme://host[:port]/..."). The
-	// host substring is returned without allocating unless it needs
-	// lower-casing. Anything the strict byte check below does not accept
-	// (userinfo, IPv6 literals, escapes, spaces, a non-numeric port, a
-	// second colon, ...) falls through to net/url so the semantics —
-	// including its rejections — stay exactly the standard library's.
-	if i := strings.Index(raw, "://"); i > 0 && isPlainScheme(raw[:i]) && !hasControlByte(raw) {
-		rest := raw[i+3:]
-		end := len(rest)
-		for j := 0; j < len(rest); j++ {
-			c := rest[j]
-			if c == '/' || c == '?' || c == '#' {
-				end = j
-				break
-			}
-		}
-		if host, ok := plainHostPort(rest[:end]); ok {
-			return lowerASCII(host)
+	h, _ := HostQuery(raw)
+	return h
+}
+
+// HostQuery returns Host(raw) and URLQuery(raw) from one pass over raw.
+func HostQuery(raw string) (host string, q Query) {
+	ctl := hasControlByte(raw)
+	if !ctl {
+		if h, q, ok := splitClean(raw); ok {
+			return lowerASCII(h), q
 		}
 	}
 	u, err := url.Parse(raw)
 	if err != nil {
-		return ""
+		return "", ""
 	}
-	return strings.ToLower(u.Hostname())
+	if !ctl {
+		q = Query(u.RawQuery)
+	}
+	return strings.ToLower(u.Hostname()), q
+}
+
+// splitClean splits a plain absolute URL ("scheme://host[:port]/...")
+// free of control bytes into its host, as written, and its query,
+// without allocating. It reports false for anything the strict byte
+// checks do not accept (userinfo, IPv6 literals, escapes, spaces, a
+// non-numeric port, a second colon, ...): those take net/url, so the
+// semantics — including its rejections — stay exactly the standard
+// library's.
+func splitClean(raw string) (host string, q Query, ok bool) {
+	i := strings.Index(raw, "://")
+	if i <= 0 || !isPlainScheme(raw[:i]) {
+		return "", "", false
+	}
+	rest := raw[i+3:]
+	end := len(rest)
+	for j := 0; j < len(rest); j++ {
+		if c := rest[j]; c == '/' || c == '?' || c == '#' {
+			end = j
+			break
+		}
+	}
+	if host, ok = plainHostPort(rest[:end]); !ok {
+		return "", "", false
+	}
+	// The fragment goes first, as in net/url, so a '?' inside it
+	// ("#/route?x=y") is not mistaken for a query.
+	tail := rest[end:]
+	if k := strings.IndexByte(tail, '#'); k >= 0 {
+		tail = tail[:k]
+	}
+	if k := strings.IndexByte(tail, '?'); k >= 0 {
+		q = Query(tail[k+1:])
+	}
+	return host, q, true
 }
 
 // plainHostPort strips an optional numeric port from a "host[:port]"
@@ -209,181 +239,4 @@ func isIPv4(host string) bool {
 // demand partner.
 func SameRegistrableDomain(a, b string) bool {
 	return RegistrableDomain(a) == RegistrableDomain(b) && RegistrableDomain(a) != ""
-}
-
-// QueryParams parses the query component of a raw URL into a flat
-// key->first-value map. Parsing is tolerant: a malformed query yields the
-// parameters that could be recovered.
-func QueryParams(raw string) map[string]string {
-	// Control characters make url.Parse fail wherever they appear, and
-	// a failed parse yields nil; short-circuit them exactly.
-	if hasControlByte(raw) {
-		return nil
-	}
-	// Locate the query without parsing the whole URL: the fragment is
-	// stripped first, exactly as net/url does, so a '?' inside the
-	// fragment ("#/route?x=y") is not mistaken for a query. The fast
-	// path applies only to absolute URLs whose authority passes the
-	// strict byte check; anything unusual — including URLs net/url
-	// rejects outright — takes the net/url slow path so its semantics
-	// (a nil result on parse error) are preserved exactly.
-	pre := raw
-	if i := strings.IndexByte(pre, '#'); i >= 0 {
-		pre = pre[:i]
-	}
-	q := ""
-	if i := strings.IndexByte(pre, '?'); i >= 0 {
-		q = pre[i+1:]
-		pre = pre[:i]
-	}
-	fast := false
-	if i := strings.Index(pre, "://"); i > 0 && isPlainScheme(pre[:i]) {
-		rest := pre[i+3:]
-		end := len(rest)
-		if j := strings.IndexByte(rest, '/'); j >= 0 {
-			end = j
-		}
-		_, fast = plainHostPort(rest[:end])
-	}
-	if !fast {
-		u, err := url.Parse(raw)
-		if err != nil {
-			return nil
-		}
-		q = u.RawQuery
-	}
-	if q == "" {
-		return map[string]string{}
-	}
-	out := make(map[string]string, 8)
-	sawErr := false
-	for q != "" {
-		var pair string
-		pair, q, _ = strings.Cut(q, "&")
-		if pair == "" {
-			continue
-		}
-		if strings.IndexByte(pair, ';') >= 0 {
-			// net/url rejects semicolon separators; drop the pair like
-			// ParseQuery drops invalid pairs.
-			sawErr = true
-			continue
-		}
-		k, v, _ := strings.Cut(pair, "=")
-		k, okK := unescapeComponent(k)
-		if !okK {
-			sawErr = true
-			continue
-		}
-		v, okV := unescapeComponent(v)
-		if !okV {
-			sawErr = true
-			continue
-		}
-		if _, dup := out[k]; !dup { // first value wins, like v[0]
-			out[k] = v
-		}
-	}
-	if sawErr && len(out) == 0 {
-		// ParseQuery returns (empty, err) when nothing was recovered,
-		// which the nil-on-failure contract maps to nil.
-		return nil
-	}
-	return out
-}
-
-// hasControlByte reports whether s contains an ASCII control character
-// (the bytes net/url rejects anywhere in a URL).
-func hasControlByte(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] < 0x20 || s[i] == 0x7f {
-			return true
-		}
-	}
-	return false
-}
-
-// unescapeComponent is url.QueryUnescape with a zero-alloc fast path for
-// components containing no escapes.
-func unescapeComponent(s string) (string, bool) {
-	if strings.IndexByte(s, '%') < 0 && strings.IndexByte(s, '+') < 0 {
-		return s, true
-	}
-	u, err := url.QueryUnescape(s)
-	if err != nil {
-		return "", false
-	}
-	return u, true
-}
-
-// HasAnyParam reports whether the raw URL's query contains any of the
-// given keys. Keys are matched case-insensitively, as HB wrappers are
-// inconsistent about casing.
-func HasAnyParam(raw string, keys []string) bool {
-	params := QueryParams(raw)
-	if len(params) == 0 {
-		return false
-	}
-	lower := make(map[string]string, len(params))
-	for k, v := range params {
-		lower[strings.ToLower(k)] = v
-	}
-	for _, k := range keys {
-		if _, ok := lower[strings.ToLower(k)]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-// WithParams returns base with the given query parameters appended,
-// preserving any existing query. Parameters are encoded deterministically
-// (sorted by key) so generated URLs are stable across runs.
-func WithParams(base string, params map[string]string) string {
-	// Fast path: a clean absolute base with no query/fragment and nothing
-	// net/url would re-normalize — a lower-case scheme (url.URL.String
-	// lower-cases schemes) and only bytes url.String leaves untouched in
-	// the authority and path. The output is byte-identical to the
-	// net/url path (url.Values.Encode sorts keys and escapes with
-	// QueryEscape) without allocating a Values map per call.
-	if i := strings.Index(base, "://"); i > 0 && isLowerScheme(base[:i]) &&
-		isCleanPathBytes(base[i+3:]) && strings.IndexByte(base[i+3:], '/') >= 0 {
-		if len(params) == 0 {
-			return base
-		}
-		return base + "?" + encodeSorted(params)
-	}
-	u, err := url.Parse(base)
-	if err != nil {
-		return base
-	}
-	q := u.Query()
-	for k, v := range params {
-		q.Set(k, v)
-	}
-	u.RawQuery = q.Encode() // Encode sorts keys.
-	return u.String()
-}
-
-// encodeSorted renders params exactly like url.Values.Encode: keys
-// sorted, each key and value query-escaped.
-func encodeSorted(params map[string]string) string {
-	keys := make([]string, 0, len(params))
-	size := 0
-	for k, v := range params {
-		keys = append(keys, k)
-		size += len(k) + len(v) + 2
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.Grow(size)
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteByte('&')
-		}
-		sb.WriteString(url.QueryEscape(k))
-		sb.WriteByte('=')
-		sb.WriteString(url.QueryEscape(params[k]))
-	}
-	return sb.String()
 }

@@ -54,41 +54,31 @@ func TestSameRegistrableDomain(t *testing.T) {
 }
 
 func TestQueryParams(t *testing.T) {
-	p := QueryParams("https://x.example/ads?hb_bidder=appnexus&hb_pb=0.50&empty")
-	if p["hb_bidder"] != "appnexus" || p["hb_pb"] != "0.50" {
-		t.Fatalf("params = %v", p)
+	q := URLQuery("https://x.example/ads?hb_bidder=appnexus&hb_pb=0.50&empty")
+	if q.Get("hb_bidder") != "appnexus" || q.Get("hb_pb") != "0.50" {
+		t.Fatalf("params = %q", q)
 	}
-	if _, ok := p["empty"]; !ok {
+	if v, ok := q.Lookup("empty"); !ok || v != "" {
 		t.Fatal("bare key missing")
 	}
-	if QueryParams("://bad") != nil {
-		t.Fatal("malformed URL should yield nil")
+	if _, ok := q.Lookup("absent"); ok {
+		t.Fatal("absent key reported present")
 	}
-}
-
-func TestHasAnyParamCaseInsensitive(t *testing.T) {
-	u := "https://x.example/r?HB_Bidder=a"
-	if !HasAnyParam(u, []string{"hb_bidder"}) {
-		t.Fatal("case-insensitive match failed")
-	}
-	if HasAnyParam(u, []string{"hb_pb"}) {
-		t.Fatal("false positive")
-	}
-	if HasAnyParam("https://x.example/", []string{"hb_pb"}) {
-		t.Fatal("no query should not match")
+	if URLQuery("://bad") != "" {
+		t.Fatal("malformed URL should yield the empty view")
 	}
 }
 
 func TestWithParamsDeterministic(t *testing.T) {
 	base := "https://s.example/serve?keep=1"
-	got := WithParams(base, map[string]string{"b": "2", "a": "1"})
+	got := BuildURL(base, "a", "1", "b", "2")
 	want := "https://s.example/serve?a=1&b=2&keep=1"
 	if got != want {
-		t.Fatalf("WithParams = %q, want %q", got, want)
+		t.Fatalf("BuildURL = %q, want %q", got, want)
 	}
 }
 
-// Property: params written by WithParams are recovered by QueryParams.
+// Property: params written by BuildURL are recovered by the query view.
 func TestParamsRoundTripProperty(t *testing.T) {
 	f := func(keysRaw, valsRaw []string) bool {
 		params := map[string]string{}
@@ -99,10 +89,9 @@ func TestParamsRoundTripProperty(t *testing.T) {
 			}
 			params[k] = valsRaw[i]
 		}
-		u := WithParams("https://host.example/p", params)
-		got := QueryParams(u)
+		q := URLQuery(BuildURL("https://host.example/p", sortedPairs(params)...))
 		for k, v := range params {
-			if got[k] != v {
+			if got, ok := q.Lookup(k); !ok || got != v {
 				return false
 			}
 		}

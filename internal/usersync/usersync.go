@@ -123,14 +123,12 @@ func (s *Syncer) Run(done func(*Result)) {
 func (s *Syncer) firePixel(p *partners.Profile, root string, depth int, pending *int, res *Result, finish func()) {
 	res.PixelsFired++
 	uid := syncUID(uint32(s.rng.Int63() & 0xffffffff))
-	pixelParams := map[string]string{"uid": uid, "site": s.cfg.Site}
 	req := &webreq.Request{
-		URL:    urlkit.WithParams(p.SyncEndpoint(), pixelParams),
+		URL:    urlkit.BuildURL(p.SyncEndpoint(), "site", s.cfg.Site, "uid", uid),
 		Method: webreq.GET,
 		Kind:   webreq.KindBeacon,
 		Sent:   s.env.Now(),
 	}
-	req.PrefillParams(pixelParams)
 	sent := req.Sent
 	s.env.Fetch(req, func(*webreq.Response) {
 		if vt := s.vt(); vt.Enabled() {

@@ -47,54 +47,35 @@ type Request struct {
 
 	// Parse cache: a simulated request's URL is split exactly once and
 	// the pieces are reused by every hop (network host lookup, server
-	// handlers, detector hooks, host matching) instead of re-parsed.
-	// Builders that assembled the URL from parts can prefill the query
-	// view with PrefillParams. Requests are confined to one page event
-	// loop, so the lazy fill needs no locking.
-	hostDone    bool
+	// handlers, detector hooks, host matching) instead of re-parsed. The
+	// query is kept as the URL substring the builder encoded, never as a
+	// map. Requests are confined to one page event loop, so the lazy
+	// fill needs no locking.
+	parsed      bool
 	host        string
 	registrable string
-	paramsDone  bool
-	params      map[string]string
+	query       urlkit.Query
 }
 
-func (r *Request) ensureHost() {
-	if !r.hostDone {
-		r.hostDone = true
-		r.host = urlkit.Host(r.URL)
+func (r *Request) parse() {
+	if !r.parsed {
+		r.parsed = true
+		r.host, r.query = urlkit.HostQuery(r.URL)
 		r.registrable = urlkit.RegistrableDomain(r.host)
 	}
 }
 
 // Host returns the lower-case request host, parsed once and cached.
-func (r *Request) Host() string { r.ensureHost(); return r.host }
+func (r *Request) Host() string { r.parse(); return r.host }
 
 // RegistrableHost returns the registrable domain (eTLD+1) of the request
 // host, computed once and cached — the key both the simulated network's
 // host table and the detector's partner matching use.
-func (r *Request) RegistrableHost() string { r.ensureHost(); return r.registrable }
+func (r *Request) RegistrableHost() string { r.parse(); return r.registrable }
 
-// Params returns the request's query parameters, parsed once and cached.
-// The returned map is shared with every other caller (and possibly with
-// the builder that prefilled it): treat it as read-only.
-func (r *Request) Params() map[string]string {
-	if !r.paramsDone {
-		r.paramsDone = true
-		r.params = urlkit.QueryParams(r.URL)
-	}
-	return r.params
-}
-
-// PrefillParams seeds the query-parameter cache with the map the URL was
-// just built from (urlkit.WithParams), so the server side never re-parses
-// what the client side encoded. The map is retained and shared; neither
-// the builder nor any reader may modify it afterwards. Only valid when
-// params matches the URL's full query (base URL carried no query of its
-// own).
-func (r *Request) PrefillParams(params map[string]string) {
-	r.paramsDone = true
-	r.params = params
-}
+// Params returns the request's query parameters: an allocation-free view
+// of the query part of URL, located once and cached.
+func (r *Request) Params() urlkit.Query { r.parse(); return r.query }
 
 // Response is the matching response delivered to the page.
 type Response struct {

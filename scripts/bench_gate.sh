@@ -8,6 +8,9 @@
 #
 #   - allocs/visit <= MAX_ALLOCS on the bare crawl (PERF.md records the
 #     measured numbers the ceiling is derived from);
+#   - allocs/op <= MAX_VISIT_HB_ALLOCS for one full-protocol HB visit on
+#     a pooled runtime (BenchmarkVisit_HB), the visit the crawl-wide
+#     average dilutes with non-HB pages;
 #   - the metrics-attached crawl (full figure report accumulating on the
 #     worker shards) costs at most MAX_METRICS_OVERHEAD_PCT of bare-crawl
 #     time, measured by BenchmarkCrawl_MetricsOverhead. That benchmark
@@ -21,7 +24,8 @@
 #     every attempt.
 set -e
 
-MAX_ALLOCS=${MAX_ALLOCS:-200}
+MAX_ALLOCS=${MAX_ALLOCS:-75}
+MAX_VISIT_HB_ALLOCS=${MAX_VISIT_HB_ALLOCS:-151}
 MAX_METRICS_OVERHEAD_PCT=${MAX_METRICS_OVERHEAD_PCT:-10}
 MAX_OBS_OVERHEAD_PCT=${MAX_OBS_OVERHEAD_PCT:-5}
 MAX_SWEEP_VARIANT_PCT=${MAX_SWEEP_VARIANT_PCT:-95}
@@ -60,6 +64,19 @@ if ! awk -v a="$allocs" -v max="$MAX_ALLOCS" 'BEGIN { exit !(a <= max) }'; then
     exit 1
 fi
 echo "bench gate: allocs/visit $allocs <= $MAX_ALLOCS"
+
+out=$(go test -run '^$' -bench '^BenchmarkVisit_HB$' -benchtime 2000x -benchmem ./internal/crawler)
+echo "$out" | grep -E '^Benchmark' || true
+hb_allocs=$(metric_of "$out" BenchmarkVisit_HB allocs/op)
+if [ -z "$hb_allocs" ]; then
+    echo "bench gate: allocs/op metric not found in BenchmarkVisit_HB output" >&2
+    exit 1
+fi
+if ! awk -v a="$hb_allocs" -v max="$MAX_VISIT_HB_ALLOCS" 'BEGIN { exit !(a <= max) }'; then
+    echo "bench gate: HB visit allocs/op $hb_allocs exceeds ceiling $MAX_VISIT_HB_ALLOCS" >&2
+    exit 1
+fi
+echo "bench gate: HB visit allocs/op $hb_allocs <= $MAX_VISIT_HB_ALLOCS"
 
 # gate_ratio <benchmark> <metric> <ceiling> <label>: run a ratio-shaped
 # benchmark up to GATE_ATTEMPTS times and require metric <= ceiling on
